@@ -8,6 +8,7 @@ simulates large batches of such tests.
 
 from .distributions import (
     RngStream,
+    block_uniforms,
     noncentral_t_cdf,
     normal_cdf,
     normal_quantile,
@@ -77,6 +78,7 @@ __all__ = [
     "berger_min_bayes_factor",
     "berger_min_fdr",
     "berger_table",
+    "block_uniforms",
     "diff_distribution_stats",
     "inflation_curve",
     "inflation_stats",

@@ -10,7 +10,8 @@ incomplete beta terms with a quadrature fallback far in the noncentral tail.
 All distribution functions accept a float or a numpy array and return the
 matching kind.  Random draws come from `RngStream`, a counter-based Philox
 substream keyed by (master_seed, stream_index): the same pair always yields
-the same sequence, on any platform and under any threading.
+the same sequence, on any platform and under any threading.  `block_uniforms`
+draws many fresh streams at once with a numpy Philox4x64-10, bit for bit.
 """
 
 from __future__ import annotations
@@ -358,10 +359,18 @@ def _nct_cdf_nonneg(t: float, df: float, delta: float) -> float:
     return min(1.0, max(0.0, base + 0.5 * total))
 
 
+# Offsets, in units of 1/t, of the quadrature panel edges placed around the
+# step of Phi(t*w - delta).
+_NCT_STEP_EDGES = np.array([-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0])
+
+
 def _nct_cdf_quadrature(t: float, df: float, delta: float) -> float:
     # P(T' <= t) = E[Phi(t*W - delta)] with W = sqrt(chi2_df / df).
     # Composite Gauss-Legendre over the region where the density of W lives,
     # located via the Wilson-Hilferty cube approximation of chi2 quantiles.
+    # Phi(t*w - delta) steps from 0 to 1 over a width of about 1/t around
+    # w* = delta/t; extra panel edges near w* resolve that step, which equal
+    # panels miss when the window is wide (small df).
     wh = 2.0 / (9.0 * df)
     spread = 13.0 * math.sqrt(wh)
     hi = math.sqrt(max((1.0 - wh + spread) ** 3, 16.0 * wh))
@@ -369,6 +378,9 @@ def _nct_cdf_quadrature(t: float, df: float, delta: float) -> float:
 
     nodes, weights = np.polynomial.legendre.leggauss(48)
     edges = np.linspace(lo, hi, 25)
+    if t > 0.0:
+        step = (delta + _NCT_STEP_EDGES) / t
+        edges = np.unique(np.concatenate((edges, step[(step > lo) & (step < hi)])))
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         w = 0.5 * (b - a) * nodes + 0.5 * (b + a)
@@ -402,7 +414,14 @@ class RngStream:
     Uniform draws are returned on the open interval (0, 1): the raw 53-bit
     lattice k/2^53 is shifted to cell midpoints so that the inverse-CDF
     transform in `sample_normal` can never see 0 or 1.
+
+    Construction only validates and stores the key; numpy's ``Philox`` is
+    built on the first `uniforms` call.  A fresh stream may instead be drawn
+    by `block_uniforms` together with many others, after which `uniforms`
+    continues with the draws that follow the block's.
     """
+
+    __slots__ = ("master_seed", "stream_index", "_gen", "_block_drawn")
 
     def __init__(self, master_seed: int, stream_index: int = 0):
         for name, value in (("master_seed", master_seed),
@@ -413,19 +432,91 @@ class RngStream:
                 raise DomainError(f"{name} must fit in an unsigned 64-bit integer")
         self.master_seed = int(master_seed)
         self.stream_index = int(stream_index)
-        key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = None
+        self._block_drawn = 0   # uniforms taken by `block_uniforms`
 
     def __repr__(self):
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
 
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            # Philox makes 4 outputs per counter value, starting at counter 1.
+            full, part = divmod(self._block_drawn, 4)
+            key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
+            bitgen = np.random.Philox(key=key, counter=full)
+            bitgen.random_raw(part)
+            self._gen = np.random.Generator(bitgen)
+        return self._gen
+
     def uniforms(self, size=None):
         """Draw uniforms in (0, 1), advancing the stream."""
-        u = self._gen.random(size)
+        u = self._generator().random(size)
         u = u + _U_SHIFT
         if size is None:
             return min(float(u), _U_MAX)
         return np.minimum(u, _U_MAX, out=u)
+
+
+# Philox4x64-10 constants (Salmon et al., "Parallel random numbers: as easy
+# as 1, 2, 3", SC 2011), as in numpy's Philox.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit product m * x, from 32-bit
+    halves so that no partial product overflows."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _U32
+    lo_lo = m_lo * x_lo
+    hi_lo = m_hi * x_lo
+    lo_hi = m_lo * x_hi
+    carry = (lo_lo >> _U32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)
+    hi = m_hi * x_hi + (hi_lo >> _U32) + (lo_hi >> _U32) + (carry >> _U32)
+    return hi, np.uint64(m) * x
+
+
+def block_uniforms(streams, size: int) -> np.ndarray:
+    """The first `size` uniforms of each of `streams`, drawn all at once.
+
+    Runs Philox4x64-10 over every stream's key and counters 1..ceil(size/4)
+    in one vectorised pass.  Row i of the (len(streams), size) result is
+    bit-identical to ``streams[i].uniforms(size)`` on a fresh stream, and the
+    streams are advanced past the draws, so a later `uniforms` call continues
+    where the row ends.  Every stream must be fresh: one that has already
+    drawn raises ``DomainError``.
+    """
+    if not isinstance(size, (int, np.integer)) or size < 0:
+        raise DomainError("size must be a non-negative integer")
+    for stream in streams:
+        if stream._gen is not None or stream._block_drawn:
+            raise DomainError(f"{stream!r} has already drawn")
+    size = int(size)
+    blocks = -(-size // 4)
+    k0 = np.array([s.master_seed for s in streams], dtype=np.uint64)[:, None]
+    k1 = np.array([s.stream_index for s in streams], dtype=np.uint64)[:, None]
+    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64),
+                         (len(streams), blocks))
+    x1 = x2 = x3 = np.zeros_like(x0)
+    for rnd in range(_PHILOX_ROUNDS):
+        if rnd:
+            k0 = k0 + _PHILOX_W[0]
+            k1 = k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    raw = np.stack((x0, x1, x2, x3), axis=-1).reshape(len(streams), 4 * blocks)
+    # numpy's double: the top 53 bits times 2**-53; then the stream's
+    # midpoint shift and clamp.
+    u = (raw[:, :size] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    u += _U_SHIFT
+    np.minimum(u, _U_MAX, out=u)
+    for stream in streams:
+        stream._block_drawn = size
+    return u
 
 
 def sample_normal(stream: RngStream, mean: float, sd: float, size=None):

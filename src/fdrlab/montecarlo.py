@@ -4,7 +4,12 @@ Experiment i of a batch draws its observations from `RngStream(master_seed,
 i)`, so any slice of a batch can be recomputed independently and the result
 of `run_batch` is bitwise identical no matter how many worker threads run
 it.  Work is sharded into fixed-size chunks of experiment indices; partial
-aggregates are merged strictly in chunk order.
+aggregates are merged strictly in chunk order.  A chunk builds one stream
+per experiment (cheap: a stream builds its numpy generator only on its first
+own `uniforms` call) and draws all of them with one vectorised
+`block_uniforms` call, which gives the bits each stream's `uniforms` would.
+Chunk ranges are generated lazily and at most 2 * threads chunks are in
+flight, so memory does not grow with the batch size.
 
 P values are binned on a fixed 0.001 grid at collection time (bin k covers
 the half-open cell (k/1000, (k+1)/1000]), so a batch has flat memory cost
@@ -16,14 +21,15 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import power as power_mod
-from .distributions import RngStream, normal_quantile
+from .distributions import RngStream, block_uniforms, normal_quantile
 from .errors import ConfigurationError, DomainError, UndefinedResultError
 from .fdr_calculus import Breakdown, TestScenario, significance_breakdown
 from .ttest import batch_two_sample_t
@@ -159,9 +165,8 @@ class _Partial(NamedTuple):
 def _simulate_chunk(config: SimConfig, start: int, stop: int) -> _Partial:
     n = config.n_per_group
     m = stop - start
-    u = np.empty((m, 2 * n))
-    for row, index in enumerate(range(start, stop)):
-        u[row] = RngStream(config.master_seed, index).uniforms(2 * n)
+    u = block_uniforms([RngStream(config.master_seed, index)
+                        for index in range(start, stop)], 2 * n)
     z = normal_quantile(u)
     control = config.true_mean_control + config.sd * z[:, :n]
     treatment = config.true_mean_treatment + config.sd * z[:, n:]
@@ -189,20 +194,30 @@ def _simulate_chunk(config: SimConfig, start: int, stop: int) -> _Partial:
     )
 
 
+def _partials(config: SimConfig, threads: int | None) -> Iterator[_Partial]:
+    """Chunk partials in chunk order, with at most 2 * threads in flight."""
+    ranges = ((start, min(start + _CHUNK, config.n_sims))
+              for start in range(0, config.n_sims, _CHUNK))
+    if threads is None or threads <= 1 or config.n_sims <= _CHUNK:
+        for a, b in ranges:
+            yield _simulate_chunk(config, a, b)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for a, b in ranges:
+            pending.append(pool.submit(_simulate_chunk, config, a, b))
+            if len(pending) >= 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def run_batch(config: SimConfig, threads: int | None = None) -> SimSummary:
     """Simulate `config.n_sims` experiments and aggregate the outcomes.
 
     `threads` only sets the worker pool size; it never affects the result,
     which is bitwise reproducible from `config` alone.
     """
-    ranges = [(start, min(start + _CHUNK, config.n_sims))
-              for start in range(0, config.n_sims, _CHUNK)]
-    if threads is None or threads <= 1 or len(ranges) == 1:
-        partials = [_simulate_chunk(config, a, b) for a, b in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda r: _simulate_chunk(config, *r), ranges))
-
     # Merge strictly in chunk order.
     count = 0
     sum_diff = 0.0
@@ -212,7 +227,7 @@ def run_batch(config: SimConfig, threads: int | None = None) -> SimSummary:
     count_wrong = 0
     hist = np.zeros(_N_BINS, dtype=np.int64)
     kept = [] if config.keep_pvalues else None
-    for part in partials:
+    for part in _partials(config, threads):
         count += part.count
         sum_diff += part.sum_diff
         sum_diff_sq += part.sum_diff_sq

@@ -1,10 +1,13 @@
 """Distribution functions checked against independent oracles:
 numerical quadrature of the defining densities, bisection inverses,
-closed forms, Monte Carlo sampling, and scipy as an outside reference.
+closed forms, Monte Carlo sampling, and scipy and mpmath as outside
+references.  The seeded uniforms are pinned by digests of their raw bytes.
 """
 
+import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -12,6 +15,7 @@ import scipy.stats
 
 from fdrlab.distributions import (
     RngStream,
+    block_uniforms,
     noncentral_t_cdf,
     normal_cdf,
     normal_quantile,
@@ -215,9 +219,36 @@ class TestNoncentralT:
             assert noncentral_t_cdf(t, df, ncp) == pytest.approx(
                 scipy.stats.nct.cdf(t, df, ncp), abs=1e-6)
 
+    def test_quadrature_branch_small_df_against_mpmath(self):
+        # |ncp| > 40 takes the quadrature branch; at small df the window of W
+        # is wide and the step of Phi(t*w - ncp) is narrow
+        for t, df, ncp in [(200.0, 1.0, 80.0), (200.0, 2.0, 80.0), (45.0, 1.0, 41.0),
+                           (300.0, 2.0, 200.0), (1000.0, 5.0, 200.0), (60.0, 5.0, 60.0),
+                           (-200.0, 1.0, -80.0), (-300.0, 5.0, -41.0), (50.0, 2.0, -45.0)]:
+            assert noncentral_t_cdf(t, df, ncp) == pytest.approx(
+                _mpmath_nct_cdf(t, df, ncp), abs=1e-6)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             noncentral_t_cdf(1.0, -1.0, 0.5)
+
+
+def _mpmath_nct_cdf(t, df, ncp):
+    """P(T <= t) = E[Phi(t*W - ncp)], W = sqrt(chi2_df / df), by mpmath
+    quadrature split around the step at w = ncp/t."""
+    if t < 0:
+        return 1.0 - _mpmath_nct_cdf(-t, df, -ncp)
+    with mpmath.workdps(30):
+        t, df, ncp = mpmath.mpf(t), mpmath.mpf(df), mpmath.mpf(ncp)
+        log_c = mpmath.log(2) + df / 2 * mpmath.log(df / 2) - mpmath.loggamma(df / 2)
+
+        def integrand(w):
+            log_dens = log_c + (df - 1) * mpmath.log(w) - df * w * w / 2
+            return mpmath.exp(log_dens) * mpmath.ncdf(t * w - ncp)
+
+        step = ncp / t
+        inner = sorted(step + k / t for k in (-16, -4, -1, 0, 1, 4, 16) if step + k / t > 0)
+        return float(mpmath.quad(integrand, [0, *inner, mpmath.inf]))
 
 
 class TestSampling:
@@ -263,3 +294,62 @@ class TestSampling:
             RngStream(-1, 0)
         with pytest.raises(DomainError):
             RngStream(0, 2 ** 64)
+
+
+_MAX64 = 2 ** 64 - 1
+
+
+class TestStreamBits:
+    # SHA-256 of the raw float64 bytes of RngStream(seed, index).uniforms(k).
+    # The uniforms come from integer arithmetic and one exact scaling, so the
+    # digests hold on every platform; a change here is a new stream version.
+    PINNED = {
+        (0, 0, 1): "bb6344a9e7754e2a1dd38280530883ff63c5df896f71ba058122d876d01fb967",
+        (7, 3, 6): "82b77660b23358ef6c91687bfd17e8f8f3af285ce408fe4ef4b21e9e52817d21",
+        (12345, 4095, 32): "bbafa99b936461b2ed3d6ec21205c5421fd9f9d2bffb02950e18c9f5ebef411c",
+        (_MAX64, _MAX64, 9): "953ecc2129d9241ea41026897bc2a1114ed5b95eaa55e0f1ad67ed669e5d8f96",
+        (_MAX64, 0, 100): "54449c4d2f8d70cee92c0c6effab246d8c89e26de8f100b9892cc172500cd6c7",
+        (0, _MAX64, 7): "fbd7a67d2da59b184f685949100838cf491ce8ec1ebadb1a569313f16e864a93",
+    }
+
+    @pytest.mark.parametrize("seed, index, k", sorted(PINNED))
+    def test_uniforms_digest(self, seed, index, k):
+        u = RngStream(seed, index).uniforms(k)
+        assert hashlib.sha256(u.tobytes()).hexdigest() == self.PINNED[seed, index, k]
+
+
+class TestBlockUniforms:
+    KEYS = [(0, 0), (12345, 17), (_MAX64, 0), (0, _MAX64), (_MAX64, _MAX64),
+            (_MAX64 - 1, _MAX64 - 2), (2 ** 63, 2 ** 32 - 1)]
+
+    @pytest.mark.parametrize("size", [*range(1, 10), 32, 100])
+    def test_bit_equal_to_scalar_streams(self, size):
+        block = block_uniforms([RngStream(s, i) for s, i in self.KEYS], size)
+        scalar = np.array([RngStream(s, i).uniforms(size) for s, i in self.KEYS])
+        assert block.shape == (len(self.KEYS), size)
+        assert np.array_equal(block.view(np.uint64), scalar.view(np.uint64))
+
+    @pytest.mark.parametrize("size", [1, 3, 4, 5, 8, 32])
+    def test_stream_continues_after_block(self, size):
+        for seed, index in self.KEYS:
+            stream = RngStream(seed, index)
+            block_uniforms([stream], size)
+            whole = RngStream(seed, index).uniforms(size + 9)
+            rest = np.array([stream.uniforms(), *stream.uniforms(8)])
+            assert np.array_equal(rest.view(np.uint64), whole[size:].view(np.uint64))
+
+    def test_drawn_stream_rejected(self):
+        used = RngStream(5, 1)
+        used.uniforms(2)
+        with pytest.raises(DomainError):
+            block_uniforms([RngStream(5, 0), used], 4)
+        blocked = RngStream(5, 2)
+        block_uniforms([blocked], 4)
+        with pytest.raises(DomainError):
+            block_uniforms([blocked], 4)
+
+    def test_size_validation(self):
+        for size in (-1, 2.0, None):
+            with pytest.raises(DomainError):
+                block_uniforms([RngStream(5, 0)], size)
+        assert block_uniforms([], 3).shape == (0, 3)

@@ -12,6 +12,7 @@ import scipy.stats
 
 from fdrlab.distributions import RngStream, sample_normal
 from fdrlab.errors import ConfigurationError, DomainError, UndefinedResultError
+from fdrlab import montecarlo
 from fdrlab.montecarlo import (
     MixtureSpec,
     SimConfig,
@@ -39,6 +40,38 @@ def test_bitwise_determinism_across_runs_and_threads():
     assert first.to_json() == again.to_json()
     assert first.to_json() == pooled.to_json()
     assert np.array_equal(first.p_histogram, pooled.p_histogram)
+
+
+def test_bounded_pipeline_same_bits_for_any_thread_count():
+    # 11 chunks, the last holding one experiment: more chunks than the
+    # 2 * threads that may be in flight
+    cfg = SimConfig(n_per_group=3, true_mean_treatment=0.7,
+                    n_sims=10 * montecarlo._CHUNK + 1, master_seed=2 ** 64 - 1)
+    single = run_batch(cfg, threads=1)
+    assert run_batch(cfg, threads=3).to_json() == single.to_json()
+    assert int(single.p_histogram.sum()) == cfg.n_sims
+
+
+def test_chunks_are_submitted_lazily(monkeypatch):
+    # a stand-in chunk function: no experiment is simulated
+    started = []
+
+    def fake_chunk(config, start, stop):
+        started.append(start)
+        return start, stop
+
+    monkeypatch.setattr(montecarlo, "_simulate_chunk", fake_chunk)
+    chunk = montecarlo._CHUNK
+    cfg = SimConfig(n_per_group=3, n_sims=1000 * chunk)
+    # taking 3 partials submits 3 chunks in series; with a pool, the first
+    # 2 * threads and one more per partial taken after the first
+    for threads, submitted in ((1, 3), (2, 6)):
+        started.clear()
+        partials = montecarlo._partials(cfg, threads)
+        first = [next(partials) for _ in range(3)]
+        partials.close()
+        assert first == [(0, chunk), (chunk, 2 * chunk), (2 * chunk, 3 * chunk)]
+        assert sorted(started) == [k * chunk for k in range(submitted)]
 
 
 def test_engine_matches_sample_normal_plus_two_sample_t():
