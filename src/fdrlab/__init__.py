@@ -42,9 +42,7 @@ from .montecarlo import (
     MixtureSpec,
     SimConfig,
     SimSummary,
-    diff_distribution_stats,
     inflation_curve,
-    inflation_stats,
     interval_fdr,
     make_mixture,
     mixture_fdr,
@@ -79,9 +77,7 @@ __all__ = [
     "berger_min_fdr",
     "berger_table",
     "block_uniforms",
-    "diff_distribution_stats",
     "inflation_curve",
-    "inflation_stats",
     "interval_fdr",
     "make_mixture",
     "mixture_fdr",

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 
+from .distributions import uint64_value
 from .errors import (ConfigurationError, DegenerateDataError, DomainError,
                      UndefinedResultError)
 from . import fdr_calculus as fc
@@ -68,46 +69,32 @@ def _int_at_least(minimum: int):
     return convert
 
 
-def _seed_value(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError(f"must fit in an unsigned 64-bit integer; got {text}")
-    return value
+def _flag(parse, check):
+    """An argparse type: `parse` the text, validate it with the library's
+    `check` and return the parsed value.  Any ValueError, `DomainError`
+    included, becomes a flag error, so argparse exits 2 naming the flag."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return convert
 
 
-def _interval_value(text: str) -> tuple[float, float]:
+def _float_pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected LO,HI; got {text!r}")
-    try:
-        lo, hi = (float(part) for part in parts)
-        lo_idx = mc.grid_index(lo, "lo")
-        hi_idx = mc.grid_index(hi, "hi")
-    except (ValueError, DomainError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    if lo_idx >= hi_idx:
-        raise argparse.ArgumentTypeError(f"requires lo < hi; got {text!r}")
-    return lo, hi
+        raise ValueError(f"expected LO,HI; got {text!r}")
+    return float(parts[0]), float(parts[1])
 
 
-def _bin_width_value(text: str) -> float:
-    value = float(text)
-    ticks = int(round(value * 1000.0))
-    if ticks < 1 or value != ticks / 1000.0 or 1000 % ticks != 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a multiple of 0.001 that divides 1 evenly; got {text}"
-        )
-    return value
+def _int_list(text: str) -> list[int]:
+    return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _n_list_value(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers; got {text!r}")
-    if not values or any(n < 3 for n in values):
-        raise argparse.ArgumentTypeError("every n must be an integer >= 3")
-    return values
+_seed = _flag(int, uint64_value)
 
 
 # ---------------------------------------------------------------------------
@@ -230,26 +217,18 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("FDRLAB_SEED")
-    if env is not None:
-        try:
-            return _seed_value(env)
-        except (ValueError, argparse.ArgumentTypeError):
-            raise ConfigurationError(
-                f"FDRLAB_SEED must be an unsigned 64-bit integer; got {env!r}"
-            )
-    return mc.DEFAULT_MASTER_SEED
+    if env is None:
+        return mc.DEFAULT_MASTER_SEED
+    try:
+        return _seed(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigurationError(f"FDRLAB_SEED: {exc}")
 
 
 def _summary_flat(summary: mc.SimSummary, prefix: str = "") -> dict:
-    mean_sig = summary.mean_diff_significant
-    return {
-        f"{prefix}count_significant": summary.count_significant,
-        f"{prefix}fraction_significant": summary.fraction_significant,
-        f"{prefix}mean_diff_all": summary.mean_diff_all,
-        f"{prefix}sd_diff_all": summary.sd_diff_all,
-        f"{prefix}mean_diff_significant": None if math.isnan(mean_sig) else mean_sig,
-        f"{prefix}count_wrong_sign_significant": summary.count_wrong_sign_significant,
-    }
+    """The scalar fields of `summary.to_dict()`, with `prefix` on each key."""
+    return {prefix + key: value for key, value in summary.to_dict().items()
+            if key not in ("config", "p_histogram_bin_width", "p_histogram")}
 
 
 def _histogram_path(path: str, tag: str) -> str:
@@ -356,7 +335,7 @@ def _add_sim_common(parser) -> None:
                         help="number of simulated experiments (default 100000)")
     parser.add_argument("--alpha", type=_prob_open, default=0.05,
                         help="significance threshold, p <= alpha (default 0.05)")
-    parser.add_argument("--seed", type=_seed_value, default=None,
+    parser.add_argument("--seed", type=_seed, default=None,
                         help="master seed (default: $FDRLAB_SEED, then "
                              f"{mc.DEFAULT_MASTER_SEED})")
     parser.add_argument("--threads", type=_int_at_least(1), default=os.cpu_count() or 1,
@@ -427,14 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim_common(p)
     p.add_argument("--prevalence", type=_prob_closed, default=None,
                    help="run paired null+effect batches and report mixture FDR")
-    p.add_argument("--interval", type=_interval_value, default=None,
-                   metavar="LO,HI",
+    p.add_argument("--interval", default=None, metavar="LO,HI",
+                   type=_flag(_float_pair, lambda pair: mc.grid_interval(*pair)),
                    help="also report the FDR among p values in (LO, HI]; "
                         "bounds on the 0.001 grid; requires --prevalence")
     p.add_argument("--emit-histogram", metavar="PATH", default=None,
                    help="write the p histogram as CSV (bin_left,count); with "
                         "--prevalence, writes PATH_null and PATH_effect")
-    p.add_argument("--hist-bin-width", type=_bin_width_value, default=0.05,
+    p.add_argument("--hist-bin-width", default=0.05,
+                   type=_flag(float, mc.histogram_ticks),
                    help="histogram bin width, a multiple of 0.001 (default 0.05)")
     _add_format(p)
     p.set_defaults(handler=_cmd_simulate)
@@ -442,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inflation",
                        help="effect-size inflation among significant tests "
                             "versus per-group sample size")
-    p.add_argument("--n-list", type=_n_list_value,
+    p.add_argument("--n-list", type=_flag(_int_list, mc.curve_sizes),
                    default=list(_DEFAULT_N_LIST), metavar="N1,N2,...",
                    help="per-group sample sizes (default "
                         + ",".join(str(n) for n in _DEFAULT_N_LIST) + ")")

@@ -402,6 +402,19 @@ def _chi_log_density(w: np.ndarray, df: float) -> np.ndarray:
 _UINT64_MAX = 2 ** 64
 
 
+def uint64_value(value, name: str = "seed", error: type = DomainError) -> int:
+    """`value` as an int, if it is an integer in [0, 2**64); else `error`.
+
+    The one rule for seeds and stream indices, shared by `RngStream`,
+    `SimConfig` and the CLI.
+    """
+    if not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer; got {value!r}")
+    if not 0 <= int(value) < _UINT64_MAX:
+        raise error(f"{name} must fit in an unsigned 64-bit integer; got {value}")
+    return int(value)
+
+
 class RngStream:
     """One independent substream of a counter-based generator.
 
@@ -424,14 +437,8 @@ class RngStream:
     __slots__ = ("master_seed", "stream_index", "_gen", "_block_drawn")
 
     def __init__(self, master_seed: int, stream_index: int = 0):
-        for name, value in (("master_seed", master_seed),
-                            ("stream_index", stream_index)):
-            if not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer")
-            if not 0 <= int(value) < _UINT64_MAX:
-                raise DomainError(f"{name} must fit in an unsigned 64-bit integer")
-        self.master_seed = int(master_seed)
-        self.stream_index = int(stream_index)
+        self.master_seed = uint64_value(master_seed, "master_seed")
+        self.stream_index = uint64_value(stream_index, "stream_index")
         self._gen = None
         self._block_drawn = 0   # uniforms taken by `block_uniforms`
 

@@ -13,8 +13,11 @@ flight, so memory does not grow with the batch size.
 
 P values are binned on a fixed 0.001 grid at collection time (bin k covers
 the half-open cell (k/1000, (k+1)/1000]), so a batch has flat memory cost
-and any grid-aligned interval count is exact.  Raw p values can optionally
-be retained for debugging via ``SimConfig.keep_pvalues``.
+and any grid-aligned interval count is exact.
+
+The input rules for grid bounds, histogram bin widths and curve sample
+sizes live here once each (`grid_index`, `grid_interval`, `histogram_ticks`,
+`curve_sizes`); the CLI calls the same functions for its flags.
 """
 
 from __future__ import annotations
@@ -23,13 +26,13 @@ import json
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import power as power_mod
-from .distributions import RngStream, block_uniforms, normal_quantile
+from .distributions import RngStream, block_uniforms, normal_quantile, uint64_value
 from .errors import ConfigurationError, DomainError, UndefinedResultError
 from .fdr_calculus import Breakdown, TestScenario, significance_breakdown
 from .ttest import batch_two_sample_t
@@ -46,12 +49,42 @@ _BIN_EDGES = np.arange(_N_BINS + 1) / 1000.0
 
 
 def grid_index(value: float, name: str = "value") -> int:
-    """Index of `value` on the 0.001 p-value grid; rejects off-grid input."""
+    """Index of `value` on the 0.001 p-value grid; rejects off-grid input,
+    including infinities and NaN."""
     value = float(value)
-    idx = int(round(value * 1000.0))
-    if not 0 <= idx <= _N_BINS or value != _BIN_EDGES[idx]:
+    idx = int(round(value * 1000.0)) if 0.0 <= value <= 1.0 else -1
+    if idx < 0 or value != _BIN_EDGES[idx]:
         raise DomainError(f"{name} must lie on the 0.001 grid in [0, 1]; got {value}")
     return idx
+
+
+def grid_interval(lo: float, hi: float) -> tuple[int, int]:
+    """Grid indices of the interval (lo, hi]; both bounds on the 0.001 grid
+    and lo < hi."""
+    lo_idx, hi_idx = grid_index(lo, "lo"), grid_index(hi, "hi")
+    if lo_idx >= hi_idx:
+        raise DomainError(f"interval must satisfy lo < hi; got ({lo}, {hi}]")
+    return lo_idx, hi_idx
+
+
+def histogram_ticks(bin_width: float) -> int:
+    """Grid cells per histogram bin of `bin_width`, which must be a multiple
+    of 0.001 that divides 1 evenly."""
+    bin_width = float(bin_width)
+    ticks = int(round(bin_width * 1000.0)) if 0.0 < bin_width <= 1.0 else 0
+    if ticks < 1 or bin_width != ticks / 1000.0 or _N_BINS % ticks != 0:
+        raise DomainError("bin width must be a multiple of 0.001 that divides 1 "
+                          f"evenly; got {bin_width}")
+    return ticks
+
+
+def curve_sizes(n_values: Sequence[int]) -> list[int]:
+    """The per-group sample sizes of an inflation curve as ints; there must
+    be at least one, and every one an integer >= 3."""
+    if len(n_values) == 0 or any(not isinstance(n, (int, np.integer)) or n < 3
+                                 for n in n_values):
+        raise DomainError("every n in the curve must be an integer >= 3")
+    return [int(n) for n in n_values]
 
 
 @dataclass(frozen=True)
@@ -65,7 +98,6 @@ class SimConfig:
     n_sims: int = 100_000
     alpha: float = 0.05
     master_seed: int = DEFAULT_MASTER_SEED
-    keep_pvalues: bool = False
 
     def __post_init__(self):
         if not isinstance(self.n_per_group, (int, np.integer)) or self.n_per_group < 2:
@@ -79,8 +111,7 @@ class SimConfig:
             raise ConfigurationError("sd must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError("alpha must lie strictly inside (0, 1)")
-        if not 0 <= int(self.master_seed) < 2 ** 64:
-            raise ConfigurationError("master_seed must fit in an unsigned 64-bit integer")
+        uint64_value(self.master_seed, "master_seed", ConfigurationError)
 
     @property
     def true_diff(self) -> float:
@@ -109,7 +140,6 @@ class SimSummary:
     sd_diff_all: float
     mean_diff_significant: float
     count_wrong_sign_significant: int
-    p_values: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_sims(self) -> int:
@@ -127,10 +157,7 @@ class SimSummary:
         ``count_in_interval(0, alpha) == count_significant`` exactly, since
         p values are never 0.
         """
-        lo_idx = grid_index(lo, "lo")
-        hi_idx = grid_index(hi, "hi")
-        if lo_idx >= hi_idx:
-            raise DomainError("interval must satisfy lo < hi")
+        lo_idx, hi_idx = grid_interval(lo, hi)
         return int(self.p_histogram[lo_idx:hi_idx].sum())
 
     def to_dict(self) -> dict:
@@ -151,18 +178,10 @@ class SimSummary:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-class _Partial(NamedTuple):
-    count: int
-    sum_diff: float
-    sum_diff_sq: float
-    count_sig: int
-    sum_diff_sig: float
-    count_wrong_sign: int
-    histogram: np.ndarray
-    p_values: np.ndarray | None
-
-
-def _simulate_chunk(config: SimConfig, start: int, stop: int) -> _Partial:
+def _simulate_chunk(config: SimConfig, start: int, stop: int) -> tuple[tuple, np.ndarray]:
+    """Simulate experiments [start, stop): their sums (count, sum of diffs,
+    sum of squared diffs, significant count, sum of significant diffs,
+    wrong-sign count) and their 0.001-grid p histogram."""
     n = config.n_per_group
     m = stop - start
     u = block_uniforms([RngStream(config.master_seed, index)
@@ -182,19 +201,12 @@ def _simulate_chunk(config: SimConfig, start: int, stop: int) -> _Partial:
 
     hist = np.bincount(np.searchsorted(_BIN_EDGES, p, side="left") - 1,
                        minlength=_N_BINS).astype(np.int64)
-    return _Partial(
-        count=m,
-        sum_diff=float(diff.sum()),
-        sum_diff_sq=float((diff * diff).sum()),
-        count_sig=int(np.count_nonzero(sig)),
-        sum_diff_sig=float(diff[sig].sum()),
-        count_wrong_sign=wrong,
-        histogram=hist,
-        p_values=p.copy() if config.keep_pvalues else None,
-    )
+    sums = (m, float(diff.sum()), float((diff * diff).sum()),
+            int(np.count_nonzero(sig)), float(diff[sig].sum()), wrong)
+    return sums, hist
 
 
-def _partials(config: SimConfig, threads: int | None) -> Iterator[_Partial]:
+def _partials(config: SimConfig, threads: int | None) -> Iterator[tuple[tuple, np.ndarray]]:
     """Chunk partials in chunk order, with at most 2 * threads in flight."""
     ranges = ((start, min(start + _CHUNK, config.n_sims))
               for start in range(0, config.n_sims, _CHUNK))
@@ -219,24 +231,12 @@ def run_batch(config: SimConfig, threads: int | None = None) -> SimSummary:
     which is bitwise reproducible from `config` alone.
     """
     # Merge strictly in chunk order.
-    count = 0
-    sum_diff = 0.0
-    sum_diff_sq = 0.0
-    count_sig = 0
-    sum_diff_sig = 0.0
-    count_wrong = 0
+    totals = (0, 0.0, 0.0, 0, 0.0, 0)
     hist = np.zeros(_N_BINS, dtype=np.int64)
-    kept = [] if config.keep_pvalues else None
-    for part in _partials(config, threads):
-        count += part.count
-        sum_diff += part.sum_diff
-        sum_diff_sq += part.sum_diff_sq
-        count_sig += part.count_sig
-        sum_diff_sig += part.sum_diff_sig
-        count_wrong += part.count_wrong_sign
-        hist += part.histogram
-        if kept is not None:
-            kept.append(part.p_values)
+    for sums, chunk_hist in _partials(config, threads):
+        totals = tuple(a + b for a, b in zip(totals, sums))
+        hist += chunk_hist
+    count, sum_diff, sum_diff_sq, count_sig, sum_diff_sig, count_wrong = totals
 
     mean = sum_diff / count
     if count > 1:
@@ -253,13 +253,7 @@ def run_batch(config: SimConfig, threads: int | None = None) -> SimSummary:
         sd_diff_all=math.sqrt(var),
         mean_diff_significant=mean_sig,
         count_wrong_sign_significant=count_wrong,
-        p_values=None if kept is None else np.concatenate(kept),
     )
-
-
-def diff_distribution_stats(summary: SimSummary) -> tuple[float, float]:
-    """Mean and SD of the observed mean differences across the whole batch."""
-    return summary.mean_diff_all, summary.sd_diff_all
 
 
 @dataclass(frozen=True)
@@ -313,14 +307,6 @@ def interval_fdr(spec: MixtureSpec, lo: float, hi: float) -> float:
     return fp_mass / (fp_mass + tp_mass)
 
 
-def inflation_stats(summary: SimSummary) -> tuple[float, int]:
-    """Mean signed observed difference over significant tests, and how many
-    of those significant tests had the wrong sign."""
-    if summary.count_significant == 0:
-        raise UndefinedResultError("no significant tests in this batch")
-    return summary.mean_diff_significant, summary.count_wrong_sign_significant
-
-
 class InflationPoint(NamedTuple):
     n_per_group: int
     power: float
@@ -335,17 +321,14 @@ def inflation_curve(n_values: Sequence[int], base_config: SimConfig,
     never share streams) and pairs the simulated conditional mean difference
     with the analytic power at that n.
     """
-    for n in n_values:
-        if not isinstance(n, (int, np.integer)) or n < 3:
-            raise DomainError("every n in the curve must be an integer >= 3")
     d = base_config.true_diff / base_config.sd
     points = []
-    for n in n_values:
-        cfg = replace(base_config, n_per_group=int(n),
-                      master_seed=(base_config.master_seed + int(n)) % 2 ** 64)
+    for n in curve_sizes(n_values):
+        cfg = replace(base_config, n_per_group=n,
+                      master_seed=(base_config.master_seed + n) % 2 ** 64)
         summary = run_batch(cfg, threads=threads)
-        analytic = power_mod.power_two_sample(int(n), d, base_config.alpha)
-        points.append(InflationPoint(int(n), analytic, summary.mean_diff_significant))
+        analytic = power_mod.power_two_sample(n, d, base_config.alpha)
+        points.append(InflationPoint(n, analytic, summary.mean_diff_significant))
     return points
 
 
@@ -374,11 +357,7 @@ def histogram_rows(summary: SimSummary, bin_width: float = 0.05) -> list[tuple[f
 
     The width must be a multiple of 0.001 that divides 1 evenly.
     """
-    ticks = int(round(bin_width * 1000.0))
-    if ticks < 1 or abs(bin_width - ticks / 1000.0) > 0.0 or _N_BINS % ticks != 0:
-        raise DomainError(
-            "bin width must be a multiple of 0.001 that divides 1 evenly"
-        )
+    ticks = histogram_ticks(bin_width)
     counts = summary.p_histogram.reshape(-1, ticks).sum(axis=1)
     return [(i * ticks / 1000.0, int(c)) for i, c in enumerate(counts)]
 

@@ -29,7 +29,7 @@ from fdrlab.fdr_calculus import (
     significance_breakdown,
 )
 from fdrlab.fdr_calculus import TestScenario as Scenario
-from fdrlab.montecarlo import MixtureSpec, inflation_stats, interval_fdr, mixture_fdr
+from fdrlab.montecarlo import MixtureSpec, interval_fdr, mixture_fdr
 from fdrlab.power import power_two_sample
 
 
@@ -160,10 +160,10 @@ def test_criterion_10_inflation(effect_batches):
     expected = {16: (1.14, 0.02), 8: (1.4, 0.05), 4: (1.8, 0.08)}
     checks = []
     for n, (stated, tolerance) in expected.items():
-        mean_sig, _ = inflation_stats(effect_batches[n])
+        mean_sig = effect_batches[n].mean_diff_significant
         checks.append((f"n={n}: mean significant diff={mean_sig:.4f} vs {stated}",
                        abs(mean_sig - stated) <= tolerance))
-    mean50, _ = inflation_stats(effect_batches[50])
+    mean50 = effect_batches[50].mean_diff_significant
     checks.append((f"n=50: mean significant diff={mean50:.4f}", mean50 <= 1.02))
     _report(10, "effect-size inflation at n = 16, 8, 4 and vanishing at n = 50",
             checks)

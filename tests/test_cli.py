@@ -12,6 +12,10 @@ import pytest
 from fdrlab.cli import main
 
 
+_SCALARS = ("count_significant", "fraction_significant", "mean_diff_all",
+            "sd_diff_all", "mean_diff_significant", "count_wrong_sign_significant")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -153,11 +157,12 @@ class TestSimulate:
         assert implicit == explicit
 
     def test_bad_env_seed_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("FDRLAB_SEED", "not-a-seed")
-        code, _, err = run_cli(capsys, "simulate", "--n-per-group", "4",
-                               "--delta", "0", "--n-sims", "100")
-        assert code == 2
-        assert "FDRLAB_SEED" in err
+        for value in ("not-a-seed", "-1", "1.5", "18446744073709551616"):
+            monkeypatch.setenv("FDRLAB_SEED", value)
+            code, _, err = run_cli(capsys, "simulate", "--n-per-group", "4",
+                                   "--delta", "0", "--n-sims", "100")
+            assert code == 2, value
+            assert "FDRLAB_SEED" in err
 
     def test_histogram_export(self, capsys, tmp_path):
         path = tmp_path / "hist.csv"
@@ -200,11 +205,63 @@ class TestSimulate:
         assert code == 2
 
     def test_off_grid_interval_exits_2(self, capsys):
+        # non-finite, off-grid, lo >= hi and the wrong number of parts
+        for interval in ("0.0451,0.05", "inf,0.05", "nan,0.05", "0,-inf",
+                         "0.05,0.045", "0.05", "0,0.05,0.1"):
+            with pytest.raises(SystemExit) as err:
+                main(["simulate", "--n-per-group", "4", "--delta", "1",
+                      "--n-sims", "100", "--prevalence", "0.5",
+                      "--interval", interval])
+            assert err.value.code == 2, interval
+            assert "--interval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", ["inf", "nan", "0.03"])
+    def test_bad_hist_bin_width_exits_2(self, capsys, width):
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--n-per-group", "4", "--delta", "1",
-                  "--n-sims", "100", "--prevalence", "0.5",
-                  "--interval", "0.0451,0.05"])
+                  "--n-sims", "100", "--hist-bin-width", width])
         assert err.value.code == 2
+        assert "--hist-bin-width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "1.5", "nan"])
+    def test_bad_seed_exits_2(self, capsys, seed):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--n-per-group", "4", "--delta", "1",
+                  "--n-sims", "100", "--seed", seed])
+        assert err.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        [],
+        ["--prevalence", "0.1", "--interval", "0.045,0.05"],
+        ["--n-sims", "5", "--alpha", "0.001"],  # no significant test: null field
+    ])
+    def test_csv_row_matches_config_and_json_scalars(self, capsys, extra):
+        argv = ["simulate", "--n-per-group", "4", "--delta", "1",
+                "--n-sims", "2000", "--seed", "1", *extra]
+        data = run_json(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 1
+        if "--prevalence" in extra:
+            expected = {"prevalence": data["prevalence"], **data["mixture"]}
+            expected.update({key: data[key] for key in data if key.startswith("interval_")})
+            for tag in ("null", "effect"):
+                expected.update({f"{tag}_{key}": data[tag][key] for key in _SCALARS})
+        else:
+            expected = {**data["config"], **{key: data[key] for key in _SCALARS}}
+        assert list(rows[0]) == list(expected)
+        for key, value in expected.items():
+            cell = rows[0][key]
+            if value is None:
+                assert cell == "", key
+            elif isinstance(value, float):
+                assert float(cell) == value, key  # full precision round-trips
+            else:
+                assert int(cell) == value, key
+        if "--alpha" in extra:
+            assert data["mean_diff_significant"] is None
 
 
 class TestInflation:
@@ -228,9 +285,11 @@ class TestInflation:
         assert [int(r["n_per_group"]) for r in rows] == [3, 4, 5, 6, 8, 10, 12, 14, 16, 20, 50]
 
     def test_bad_n_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["inflation", "--n-list", "2,8", "--delta", "1"])
-        assert err.value.code == 2
+        for n_list in ("2,8", "", "3,x", "3.5", "inf"):
+            with pytest.raises(SystemExit) as err:
+                main(["inflation", "--n-list", n_list, "--delta", "1"])
+            assert err.value.code == 2, n_list
+            assert "--n-list" in capsys.readouterr().err
 
 
 def test_json_round_trips_losslessly(capsys):

@@ -16,11 +16,9 @@ from fdrlab import montecarlo
 from fdrlab.montecarlo import (
     MixtureSpec,
     SimConfig,
-    diff_distribution_stats,
     grid_index,
     histogram_rows,
     inflation_curve,
-    inflation_stats,
     interval_fdr,
     make_mixture,
     mixture_fdr,
@@ -105,7 +103,8 @@ def test_diff_sd_matches_analytic_standard_error():
     # sd of the observed differences is sqrt(2/n) * sd
     for n, sd, seed in [(4, 1.0, 501), (16, 2.5, 502), (9, 0.3, 503)]:
         cfg = SimConfig(n_per_group=n, sd=sd, n_sims=20_000, master_seed=seed)
-        mean, spread = diff_distribution_stats(run_batch(cfg))
+        summary = run_batch(cfg)
+        mean, spread = summary.mean_diff_all, summary.sd_diff_all
         expected = math.sqrt(2.0 / n) * sd
         tol = 3.0 * expected / math.sqrt(2.0 * cfg.n_sims)
         assert mean == pytest.approx(0.0, abs=3.0 * expected / math.sqrt(cfg.n_sims))
@@ -140,22 +139,12 @@ def test_wrong_sign_convention_by_replay():
     assert summary.count_wrong_sign_significant == expected
 
 
-def test_keep_pvalues_flag():
-    cfg = SimConfig(n_per_group=4, n_sims=3000, master_seed=11, keep_pvalues=True)
-    summary = run_batch(cfg)
-    assert summary.p_values is not None and summary.p_values.size == 3000
-    assert int((summary.p_values <= cfg.alpha).sum()) == summary.count_significant
-    assert run_batch(SimConfig(n_per_group=4, n_sims=100, master_seed=11)).p_values is None
-
-
 def test_mean_diff_significant_is_nan_when_none_significant():
     cfg = SimConfig(n_per_group=4, n_sims=5, alpha=0.001, master_seed=1)
     summary = run_batch(cfg)
     assert summary.count_significant == 0
     assert math.isnan(summary.mean_diff_significant)
     assert summary.to_dict()["mean_diff_significant"] is None
-    with pytest.raises(UndefinedResultError):
-        inflation_stats(summary)
 
 
 @pytest.fixture(scope="module")
@@ -247,7 +236,7 @@ def test_inflation_against_quadrature_oracle():
     cfg = SimConfig(n_per_group=8, true_mean_treatment=1.0, n_sims=20_000,
                     master_seed=888)
     summary = run_batch(cfg)
-    mean_sig, _ = inflation_stats(summary)
+    mean_sig = summary.mean_diff_significant
     oracle_mean, oracle_power = _conditional_mean_oracle(8)
     # oracle power doubles as a check that the quadrature is trustworthy
     assert oracle_power == pytest.approx(power_two_sample(8, 1.0, 0.05), abs=1e-6)
@@ -276,14 +265,17 @@ def test_inflation_curve_structure():
     assert inflations[-1] == pytest.approx(1.0, abs=0.03)
     with pytest.raises(DomainError):
         inflation_curve([2], base)
+    with pytest.raises(DomainError):
+        inflation_curve([], base)
 
 
 def test_grid_index_accepts_cli_style_floats():
     assert grid_index(0.045) == 45
     assert grid_index(0.05) == 50
     assert grid_index(1.0) == 1000
-    with pytest.raises(DomainError):
-        grid_index(0.0505)
+    for bad in (0.0505, math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            grid_index(bad)
 
 
 def test_histogram_rows_and_csv(tmp_path):
@@ -293,8 +285,10 @@ def test_histogram_rows_and_csv(tmp_path):
     assert len(rows) == 20
     assert rows[0][0] == 0.0 and rows[-1][0] == 0.95
     assert sum(count for _, count in rows) == 2000
-    with pytest.raises(DomainError):
-        histogram_rows(summary, bin_width=0.03)  # does not divide 1 evenly
+    # 0.03 does not divide 1 evenly
+    for bad in (0.03, math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            histogram_rows(summary, bin_width=bad)
 
     path = tmp_path / "hist.csv"
     write_histogram_csv(summary, path, bin_width=0.1)
@@ -313,5 +307,6 @@ def test_config_validation():
         SimConfig(n_per_group=4, sd=0.0)
     with pytest.raises(ConfigurationError):
         SimConfig(n_per_group=4, alpha=1.0)
-    with pytest.raises(ConfigurationError):
-        SimConfig(n_per_group=4, master_seed=-1)
+    for seed in (-1, 1.5, 2 ** 64):
+        with pytest.raises(ConfigurationError):
+            SimConfig(n_per_group=4, master_seed=seed)

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from fdrlab.distributions import RngStream, block_uniforms, normal_quantile
 from fdrlab.errors import DegenerateDataError, DomainError
-from fdrlab.montecarlo import SimConfig, run_batch
 from fdrlab.ttest import batch_two_sample_t, significant, two_sample_t
 from fdrlab.ttest import TestResult as TResult
 
@@ -96,10 +96,10 @@ def test_agreement_with_exhaustive_permutation(group1, group2):
 
 
 def test_null_p_values_uniform():
-    # 2000 null experiments; Kolmogorov-Smirnov against the uniform CDF
-    cfg = SimConfig(n_per_group=5, n_sims=2000, master_seed=314,
-                    keep_pvalues=True)
-    p = np.sort(run_batch(cfg).p_values)
+    # 2000 null experiments drawn as the simulation engine draws them;
+    # Kolmogorov-Smirnov against the uniform CDF
+    z = normal_quantile(block_uniforms([RngStream(314, i) for i in range(2000)], 10))
+    p = np.sort(batch_two_sample_t(z[:, :5], z[:, 5:])[2])
     n = p.size
     d = max(np.max(np.arange(1, n + 1) / n - p), np.max(p - np.arange(0, n) / n))
     assert d < 1.94947 / math.sqrt(n)  # 0.001-significance critical value
