@@ -338,8 +338,10 @@ def _add_sim_common(parser) -> None:
     parser.add_argument("--seed", type=_seed, default=None,
                         help="master seed (default: $FDRLAB_SEED, then "
                              f"{mc.DEFAULT_MASTER_SEED})")
-    parser.add_argument("--threads", type=_int_at_least(1), default=os.cpu_count() or 1,
-                        help="worker threads; never affects results")
+    parser.add_argument("--threads", type=_flag(int, mc.thread_count),
+                        default=min(os.cpu_count() or 1, mc.MAX_THREADS),
+                        help=f"worker threads, at most {mc.MAX_THREADS}; never "
+                             "affects results")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,9 +437,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--flag -value`` as ``--flag=-value`` when the value starts
+    with a single "-" (``-inf``, ``-0.001,0.05``).  argparse would read such
+    a value as an option and say only "expected one argument"; attached, it
+    reaches the flag's own check, which names the rule it breaks."""
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and token.startswith("-") and not token.startswith("--")
+                and token != "-h"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     if getattr(args, "handler", None) is None:
         parser.print_help(sys.stderr)
         return 2

@@ -15,9 +15,10 @@ P values are binned on a fixed 0.001 grid at collection time (bin k covers
 the half-open cell (k/1000, (k+1)/1000]), so a batch has flat memory cost
 and any grid-aligned interval count is exact.
 
-The input rules for grid bounds, histogram bin widths and curve sample
-sizes live here once each (`grid_index`, `grid_interval`, `histogram_ticks`,
-`curve_sizes`); the CLI calls the same functions for its flags.
+The input rules for grid bounds, histogram bin widths, curve sample sizes
+and thread counts live here once each (`grid_index`, `grid_interval`,
+`histogram_ticks`, `curve_sizes`, `thread_count`); the CLI calls the same
+functions for its flags.
 """
 
 from __future__ import annotations
@@ -76,6 +77,23 @@ def histogram_ticks(bin_width: float) -> int:
         raise DomainError("bin width must be a multiple of 0.001 that divides 1 "
                           f"evenly; got {bin_width}")
     return ticks
+
+
+# Most worker threads `run_batch` accepts.  Threads never change a result,
+# and past the core count they buy nothing; each one running a chunk holds a
+# few arrays of 4096 * 2n doubles, and 2 * threads chunks may be in flight.
+MAX_THREADS = 256
+
+
+def thread_count(threads: int | None) -> int:
+    """`threads` as an int in [1, MAX_THREADS]; None means 1."""
+    if threads is None:
+        return 1
+    if (not isinstance(threads, (int, np.integer)) or isinstance(threads, bool)
+            or not 1 <= threads <= MAX_THREADS):
+        raise DomainError(f"threads must be an integer in [1, {MAX_THREADS}]; "
+                          f"got {threads!r}")
+    return int(threads)
 
 
 def curve_sizes(n_values: Sequence[int]) -> list[int]:
@@ -227,9 +245,11 @@ def _partials(config: SimConfig, threads: int | None) -> Iterator[tuple[tuple, n
 def run_batch(config: SimConfig, threads: int | None = None) -> SimSummary:
     """Simulate `config.n_sims` experiments and aggregate the outcomes.
 
-    `threads` only sets the worker pool size; it never affects the result,
-    which is bitwise reproducible from `config` alone.
+    `threads` only sets the worker pool size, at most `MAX_THREADS` (checked
+    before any thread starts); it never affects the result, which is bitwise
+    reproducible from `config` alone.
     """
+    threads = thread_count(threads)
     # Merge strictly in chunk order.
     totals = (0, 0.0, 0.0, 0, 0.0, 0)
     hist = np.zeros(_N_BINS, dtype=np.int64)

@@ -223,6 +223,35 @@ class TestSimulate:
         assert err.value.code == 2
         assert "--hist-bin-width" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--interval", "-0.001,0.05", "lo must lie on the 0.001 grid"),
+        ("--hist-bin-width", "-inf", "bin width must be a multiple of 0.001"),
+        ("--delta", "-inf", "must be finite"),
+    ])
+    def test_value_starting_with_dash_names_the_rule(self, capsys, flag, value, rule):
+        # argparse alone reads "-0.001,0.05" and "-inf" as options
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--n-per-group", "4", "--delta", "1", "--n-sims", "100",
+                  "--prevalence", "0.5", flag, value])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert f"argument {flag}: " in message and rule in message
+        assert "expected one argument" not in message
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "257", "100000", "1.5"])
+    def test_bad_threads_exits_2_before_any_thread(self, capsys, monkeypatch, threads):
+        from fdrlab import montecarlo
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--n-per-group", "4", "--delta", "1",
+                  "--n-sims", "100000", "--threads", threads])
+        assert err.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "1.5", "nan"])
     def test_bad_seed_exits_2(self, capsys, seed):
         with pytest.raises(SystemExit) as err:

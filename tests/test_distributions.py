@@ -130,7 +130,25 @@ class TestIncompleteBeta:
             ref = scipy.special.betainc(a, b, x)
             assert np.max(np.abs(mine - ref)) < 1e-10
 
+    def test_scalar_path_matches_array_path(self):
+        rng = np.random.default_rng(5)
+        for a, b, x in zip(np.exp(rng.uniform(-1.0, 8.0, 300)),
+                           np.exp(rng.uniform(-1.0, 8.0, 300)), rng.uniform(0.0, 1.0, 300)):
+            scalar = regularized_incomplete_beta(a, b, float(x))
+            assert isinstance(scalar, float)
+            assert scalar == pytest.approx(regularized_incomplete_beta(a, b, np.array([x]))[0],
+                                           abs=1e-13)
+        for x in (0.0, 1.0, np.float64(0.25), np.array(0.25)):
+            value = regularized_incomplete_beta(2.0, 3.0, x)
+            assert isinstance(value, float)
+            assert value == pytest.approx(scipy.special.betainc(2.0, 3.0, x), abs=1e-15)
+
     def test_domain(self):
+        for bad in (math.nan, math.inf, -0.1, 1.5):
+            with pytest.raises(DomainError):
+                regularized_incomplete_beta(1.0, 1.0, bad)
+            with pytest.raises(DomainError):
+                regularized_incomplete_beta(1.0, 1.0, np.array([0.5, bad]))
         with pytest.raises(DomainError):
             regularized_incomplete_beta(0.0, 1.0, 0.5)
         with pytest.raises(DomainError):
@@ -174,6 +192,17 @@ class TestStudentT:
                 oracle = 0.5 + _integrate(density, 0.0, t)
                 assert student_t_cdf(t, df) == pytest.approx(oracle, abs=1e-8)
 
+    def test_near_zero_at_large_df(self):
+        # F(t) = 1/2 + f(0) t + O(t^3); at df ~ 3e5, x = df / (df + t^2)
+        # rounds to 1 for |t| < 6e-6, so y = t^2 / (df + t^2) must be used
+        for df in (1.0, 4.0, 30.0, 313956.0):
+            f0 = math.exp(math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df)
+                          - 0.5 * math.log(df * math.pi))
+            for t in (-3e-6, -1e-7, 1e-9, 2e-6):
+                assert student_t_cdf(t, df) == pytest.approx(0.5 + f0 * t, abs=3e-16)
+            ts = np.array([-3e-6, 1e-9, 2.0])
+            assert list(student_t_cdf(ts, df)) == [student_t_cdf(t, df) for t in ts]
+
     def test_domain(self):
         with pytest.raises(DomainError):
             student_t_cdf(1.0, 0.0)
@@ -205,13 +234,42 @@ class TestNoncentralT:
         values = [noncentral_t_cdf(2.0, 9.0, d) for d in ncps]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_series_meets_quadrature_fallback(self):
-        # the two evaluation routes agree across the |ncp| = 40 switch
-        from fdrlab.distributions import _nct_cdf_quadrature
-        for t, df, ncp in [(39.0, 12.0, 38.0), (41.0, 25.0, 39.5)]:
-            series = noncentral_t_cdf(t, df, ncp)
-            quad = _nct_cdf_quadrature(t, df, ncp)
-            assert series == pytest.approx(quad, abs=1e-8)
+    def test_quadrature_against_mpmath_oracle(self):
+        # df from Cauchy to ~3e5, ncp of either sign, t on both sides of the
+        # step and at 0, and the far-noncentral points
+        cases = [(t, df, ncp)
+                 for df in (1.0, 2.0, 3.0, 5.0, 8.0, 30.0, 98.0, 313956.0)
+                 for ncp in (-20.0, -2.5, 0.3, 2.83, 20.0)
+                 for t in (0.0, ncp - 2.0, ncp + 2.0)]
+        cases += [(39.0, 12.0, 38.0), (41.0, 25.0, 39.5), (45.0, 8.0, 44.0),
+                  (200.0, 1.0, 80.0), (300.0, 2.0, 200.0), (1000.0, 5.0, 200.0),
+                  (-200.0, 1.0, -80.0), (50.0, 2.0, -45.0), (5.88, 313956.0, -13.14)]
+        misses = [(t, df, ncp, value, oracle) for t, df, ncp in cases
+                  if not abs((value := noncentral_t_cdf(t, df, ncp))
+                             - (oracle := _mpmath_nct_cdf(t, df, ncp))) < 1e-8]
+        assert misses == []
+
+    def test_vectorised_over_t(self):
+        ts = np.array([-3.0, 0.0, 1.5, 4.0])
+        values = noncentral_t_cdf(ts, 9.0, 1.7)
+        assert values.shape == ts.shape
+        singles = [noncentral_t_cdf(t, 9.0, 1.7) for t in ts]
+        assert np.max(np.abs(values - singles)) < 1e-15
+
+    def test_lower_tail_keeps_relative_accuracy(self):
+        # P(T <= -t_crit) at n = 200 per group, d = 1: about 3.8e-33, far
+        # below the rounding of 1 - P(T > -t_crit)
+        t_crit = float(scipy.stats.t.ppf(0.975, 398))
+        ref = _mpmath_nct_cdf(-t_crit, 398.0, 10.0)
+        assert 0.0 < ref < 1e-30
+        assert noncentral_t_cdf(-t_crit, 398.0, 10.0) == pytest.approx(ref, rel=1e-10)
+
+    def test_gauss_legendre_rule(self):
+        from fdrlab.distributions import _gauss_legendre
+        nodes, weights = _gauss_legendre(48)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(48)
+        assert np.max(np.abs(nodes - ref_nodes)) < 1e-14
+        assert np.max(np.abs(weights - ref_weights)) < 1e-14
 
     def test_against_scipy(self):
         for t, df, ncp in [(2.04, 30.0, 2.83), (-1.0, 5.0, 2.0), (0.0, 3.0, 1.0),
@@ -220,8 +278,8 @@ class TestNoncentralT:
                 scipy.stats.nct.cdf(t, df, ncp), abs=1e-6)
 
     def test_quadrature_branch_small_df_against_mpmath(self):
-        # |ncp| > 40 takes the quadrature branch; at small df the window of W
-        # is wide and the step of Phi(t*w - ncp) is narrow
+        # far noncentral points: at small df the window of W is wide and the
+        # step of Phi(t*w - ncp) is narrow
         for t, df, ncp in [(200.0, 1.0, 80.0), (200.0, 2.0, 80.0), (45.0, 1.0, 41.0),
                            (300.0, 2.0, 200.0), (1000.0, 5.0, 200.0), (60.0, 5.0, 60.0),
                            (-200.0, 1.0, -80.0), (-300.0, 5.0, -41.0), (50.0, 2.0, -45.0)]:
@@ -235,10 +293,11 @@ class TestNoncentralT:
 
 def _mpmath_nct_cdf(t, df, ncp):
     """P(T <= t) = E[Phi(t*W - ncp)], W = sqrt(chi2_df / df), by mpmath
-    quadrature split around the step at w = ncp/t."""
-    if t < 0:
-        return 1.0 - _mpmath_nct_cdf(-t, df, -ncp)
-    with mpmath.workdps(30):
+    quadrature for either sign of t.  Breakpoints sit at W's mode and at
+    k / sqrt(2 df) either side of it, without which the quadrature misses
+    the density's narrow peak at large df, and, when t != 0, around the
+    step at w = ncp/t."""
+    with mpmath.workdps(20):
         t, df, ncp = mpmath.mpf(t), mpmath.mpf(df), mpmath.mpf(ncp)
         log_c = mpmath.log(2) + df / 2 * mpmath.log(df / 2) - mpmath.loggamma(df / 2)
 
@@ -246,9 +305,13 @@ def _mpmath_nct_cdf(t, df, ncp):
             log_dens = log_c + (df - 1) * mpmath.log(w) - df * w * w / 2
             return mpmath.exp(log_dens) * mpmath.ncdf(t * w - ncp)
 
-        step = ncp / t
-        inner = sorted(step + k / t for k in (-16, -4, -1, 0, 1, 4, 16) if step + k / t > 0)
-        return float(mpmath.quad(integrand, [0, *inner, mpmath.inf]))
+        mode, scale = mpmath.sqrt((df - 1) / df), 1 / mpmath.sqrt(2 * df)
+        points = [mode + k * scale for k in (-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16)]
+        if t != 0:
+            points += [(ncp + k) / t for k in (-16, -4, -1, 0, 1, 4, 16)]
+        inner = sorted(w for w in set(points) if w > 0)
+        return float(mpmath.quad(integrand, [0, *inner, mpmath.inf],
+                                 method="gauss-legendre"))
 
 
 class TestSampling:

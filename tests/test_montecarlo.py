@@ -50,6 +50,19 @@ def test_bounded_pipeline_same_bits_for_any_thread_count():
     assert int(single.p_histogram.sum()) == cfg.n_sims
 
 
+def test_thread_cap_is_checked_before_any_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+    cfg = SimConfig(n_per_group=3, n_sims=100 * montecarlo._CHUNK)
+    for threads in (montecarlo.MAX_THREADS + 1, 10 ** 6, 0, -1, 2.0, True):
+        with pytest.raises(DomainError):
+            run_batch(cfg, threads=threads)
+    assert montecarlo.thread_count(None) == 1
+    assert montecarlo.thread_count(montecarlo.MAX_THREADS) == montecarlo.MAX_THREADS
+
+
 def test_chunks_are_submitted_lazily(monkeypatch):
     # a stand-in chunk function: no experiment is simulated
     started = []

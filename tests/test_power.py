@@ -1,5 +1,6 @@
 """Analytic power: cross-checked against scipy's noncentral t, the solver's
-bracketing properties, and full-size Monte Carlo batches.
+bracketing properties, hypothesis properties of power, `solve_n` and the t
+quantile, and full-size Monte Carlo batches.
 """
 
 import math
@@ -7,7 +8,9 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
+from fdrlab.distributions import student_t_cdf
 from fdrlab.errors import DomainError
 from fdrlab.power import power_two_sample, solve_n, student_t_quantile
 
@@ -33,6 +36,10 @@ def test_result_strictly_inside_unit_interval():
     for n in (2, 16, 200):
         value = power_two_sample(n, 1.0, 0.05)
         assert 0.0 < value < 1.0
+    # the lower tail, P(T <= -t_crit) ~ 3.8e-33 at n = 200, is evaluated as
+    # it stands, not as the rounding residue of 1 - P(T > -t_crit)
+    upper = scipy.stats.nct.sf(scipy.stats.t.ppf(0.975, 398), 398, 10.0)
+    assert power_two_sample(200, 1.0) == pytest.approx(upper, abs=1e-15)
 
 
 def test_monotone_in_n_d_alpha():
@@ -50,11 +57,24 @@ def test_sign_of_effect_is_irrelevant():
 
 
 def test_t_quantile_roundtrip():
-    from fdrlab.distributions import student_t_cdf
     for df in (1.0, 4.0, 30.0, 98.0):
         for p in (0.6, 0.975, 0.9995, 0.25):
             q = student_t_quantile(p, df)
             assert student_t_cdf(q, df) == pytest.approx(p, abs=1e-12)
+
+
+def test_t_quantile_domain_and_far_tail():
+    for p in (0.0, 1.0, math.nan):
+        with pytest.raises(DomainError):
+            student_t_quantile(p, 5.0)
+    with pytest.raises(DomainError):
+        student_t_quantile(0.3, 0.0)
+    # the quantile, about -1e600, lies past the float range
+    with pytest.raises(DomainError):
+        student_t_quantile(1e-300, 0.5)
+    # Cauchy: -cot(pi q)
+    assert student_t_quantile(1e-150, 1.0) == pytest.approx(-1.0 / (math.pi * 1e-150),
+                                                             rel=1e-12)
 
 
 class TestSolveN:
@@ -62,6 +82,8 @@ class TestSolveN:
         assert solve_n(0.78, 1.0, 0.05) == 16
         assert solve_n(0.80, 1.0, 0.05) == 17
         assert solve_n(0.22, 1.0, 0.05) == 4
+        assert solve_n(0.80, 0.2, 0.05) == 394
+        assert solve_n(0.80, 0.01, 0.05) == 156979
 
     def test_monotone_in_target(self):
         assert solve_n(0.9, 1.0, 0.05) > solve_n(0.5, 1.0, 0.05)
@@ -87,6 +109,58 @@ class TestSolveN:
             power_two_sample(1, 1.0, 0.05)
         with pytest.raises(DomainError):
             power_two_sample(16, 1.0, 1.0)
+        # the required n passes 2**32
+        for d in (1e-5, 1e-300, 5e-324):
+            with pytest.raises(DomainError):
+                solve_n(0.8, d, 0.05)
+
+
+_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@st.composite
+def _designs(draw):
+    """(n, d) with 0.05 <= |d| and a noncentrality d sqrt(n/2) of at most 6,
+    so that power and its steps in n and d stay clear of rounding at 1."""
+    n = draw(st.integers(2, 5000))
+    d = draw(st.floats(0.05, 6.0 / math.sqrt(n / 2.0)))
+    return n, d if draw(st.booleans()) else -d
+
+
+class TestProperties:
+    @_PROPERTY
+    @given(_designs(), st.floats(1e-4, 0.5))
+    def test_power_strictly_inside_unit_interval(self, design, alpha):
+        n, d = design
+        assert 0.0 < power_two_sample(n, d, alpha) < 1.0
+        assert 0.0 < power_two_sample(n, 0.0, alpha) < 1.0
+
+    @_PROPERTY
+    @given(_designs())
+    def test_power_rises_strictly_with_n(self, design):
+        n, d = design
+        if abs(d) * math.sqrt((n + 1) / 2.0) <= 6.0:
+            assert power_two_sample(n + 1, d) > power_two_sample(n, d)
+
+    @_PROPERTY
+    @given(_designs(), st.floats(0.5, 0.99))
+    def test_power_rises_strictly_with_abs_d(self, design, shrink):
+        n, d = design
+        assert power_two_sample(n, shrink * d) < power_two_sample(n, d)
+        assert power_two_sample(n, -d) == pytest.approx(power_two_sample(n, d), abs=1e-12)
+
+    @_PROPERTY
+    @given(st.floats(0.01, 0.99), st.floats(0.05, 3.0), st.floats(1e-3, 0.2))
+    def test_solve_n_is_the_smallest_n_reaching_the_target(self, target, d, alpha):
+        n = solve_n(target, d, alpha)
+        assert power_two_sample(n, d, alpha) >= target
+        assert n == 2 or power_two_sample(n - 1, d, alpha) < target
+
+    @_PROPERTY
+    @given(st.floats(1e-10, 1.0 - 1e-10), st.floats(0.5, 3.2e5))
+    def test_t_quantile_roundtrips_through_the_cdf(self, p, df):
+        q = student_t_quantile(p, df)
+        assert abs(student_t_cdf(q, df) - p) <= 1e-9 * min(p, 1.0 - p)
 
 
 def test_simulation_agreement(null16, effect_batches):
