@@ -4,22 +4,30 @@ One subcommand per computation, each able to render as an aligned table
 (default, 4 significant figures), CSV, or JSON (both full precision).
 
 Exit codes: 0 success, 2 invalid flags, 3 domain or undefined-result errors,
-4 I/O failure.  The environment variable FDRLAB_SEED supplies the default
-master seed for the simulation subcommands.
+4 I/O failure, 5 out of memory, 130 interrupted (Ctrl-C), each with an
+``error:`` message and no traceback.  The environment variable FDRLAB_SEED
+supplies the default master seed for the simulation subcommands.
+
+Every flag value is checked by the library's own rule (`fdrlab.errors`:
+`finite`, `positive`, `probability`, `open_probability`,
+`integer_at_least`, `uint64_value`; `fdrlab.montecarlo` for grid bounds,
+bin widths, curve sizes and threads) through one adapter, `_flag`, so a
+value the library would reject exits 2 naming the flag.  The parser is
+built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
-import math
 import os
 import sys
 
-from .distributions import uint64_value
 from .errors import (ConfigurationError, DegenerateDataError, DomainError,
-                     UndefinedResultError)
+                     UndefinedResultError, finite, integer_at_least,
+                     open_probability, positive, probability, uint64_value)
 from . import fdr_calculus as fc
 from . import montecarlo as mc
 from . import power as pw
@@ -29,45 +37,8 @@ _DEFAULT_N_LIST = (3, 4, 5, 6, 8, 10, 12, 14, 16, 20, 50)
 
 
 # ---------------------------------------------------------------------------
-# Flag validators (argparse exits with code 2, naming the offending flag).
+# Flag types: parse the text, then apply the library's rule.
 # ---------------------------------------------------------------------------
-
-def _prob_closed(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1]; got {text}")
-    return value
-
-
-def _prob_open(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie strictly inside (0, 1); got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive; got {text}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite; got {text}")
-    return value
-
-
-def _int_at_least(minimum: int):
-    def convert(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}; got {text}")
-        return value
-    return convert
-
 
 def _flag(parse, check):
     """An argparse type: `parse` the text, validate it with the library's
@@ -92,6 +63,10 @@ def _float_pair(text: str) -> tuple[float, float]:
 
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
+
+
+def _int_at_least(minimum: int):
+    return _flag(int, lambda value: integer_at_least(value, minimum))
 
 
 _seed = _flag(int, uint64_value)
@@ -329,11 +304,12 @@ def _add_format(parser) -> None:
 
 
 def _add_sim_common(parser) -> None:
-    parser.add_argument("--sd", type=_positive_float, default=1.0,
+    parser.add_argument("--sd", type=_flag(float, positive), default=1.0,
                         help="common true standard deviation (default 1)")
     parser.add_argument("--n-sims", type=_int_at_least(1), default=100_000,
                         help="number of simulated experiments (default 100000)")
-    parser.add_argument("--alpha", type=_prob_open, default=0.05,
+    parser.add_argument("--alpha", type=_flag(float, open_probability),
+                        default=0.05,
                         help="significance threshold, p <= alpha (default 0.05)")
     parser.add_argument("--seed", type=_seed, default=None,
                         help="master seed (default: $FDRLAB_SEED, then "
@@ -344,6 +320,7 @@ def _add_sim_common(parser) -> None:
                              "affects results")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fdrlab",
@@ -355,30 +332,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("screen", help="screening-test false discovery breakdown")
-    p.add_argument("--prevalence", type=_prob_closed, required=True)
-    p.add_argument("--sensitivity", type=_prob_closed, required=True)
-    p.add_argument("--specificity", type=_prob_closed, required=True)
-    p.add_argument("--population", type=_positive_float, default=None,
+    p.add_argument("--prevalence", type=_flag(float, probability), required=True)
+    p.add_argument("--sensitivity", type=_flag(float, probability), required=True)
+    p.add_argument("--specificity", type=_flag(float, probability), required=True)
+    p.add_argument("--population", type=_flag(float, positive), default=None,
                    help="scale the four cells to this many people")
     _add_format(p)
     p.set_defaults(handler=_cmd_screen)
 
     p = sub.add_parser("fdr", help="significance-test breakdown and posterior odds")
-    p.add_argument("--prevalence", type=_prob_closed, required=True,
+    p.add_argument("--prevalence", type=_flag(float, probability), required=True,
                    help="fraction of tests with a real effect")
-    p.add_argument("--power", type=_prob_closed, required=True)
-    p.add_argument("--alpha", type=_prob_closed, required=True)
-    p.add_argument("--n-tests", type=_positive_float, default=None,
+    p.add_argument("--power", type=_flag(float, probability), required=True)
+    p.add_argument("--alpha", type=_flag(float, probability), required=True)
+    p.add_argument("--n-tests", type=_flag(float, positive), default=None,
                    help="scale the four cells to this many tests")
     _add_format(p)
     p.set_defaults(handler=_cmd_fdr)
 
     p = sub.add_parser("berger", help="minimum Bayes factor / minimum FDR calibration")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--p", type=_prob_open, help="observed p value (must be < 1/e)")
+    group.add_argument("--p", type=_flag(float, open_probability),
+                       help="observed p value (must be < 1/e)")
     group.add_argument("--table", action="store_true",
                        help="print the standard calibration table")
-    group.add_argument("--target-fdr", type=_prob_open,
+    group.add_argument("--target-fdr", type=_flag(float, open_probability),
                        help="invert: p value whose minimum FDR equals this")
     _add_format(p)
     p.set_defaults(handler=_cmd_berger)
@@ -388,11 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n", type=_int_at_least(2), help="observations per group")
     group.add_argument("--solve", action="store_true",
                        help="find the smallest n reaching --target power")
-    p.add_argument("--target", type=_prob_open, default=None,
+    p.add_argument("--target", type=_flag(float, open_probability), default=None,
                    help="target power for --solve")
-    p.add_argument("--d", type=_finite_float, required=True,
+    p.add_argument("--d", type=_flag(float, finite), required=True,
                    help="true mean difference in SD units")
-    p.add_argument("--alpha", type=_prob_open, default=0.05)
+    p.add_argument("--alpha", type=_flag(float, open_probability), default=0.05)
     _add_format(p)
     p.set_defaults(handler=_cmd_power)
 
@@ -403,10 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
              "with seed+1)",
     )
     p.add_argument("--n-per-group", type=_int_at_least(2), required=True)
-    p.add_argument("--delta", type=_finite_float, required=True,
+    p.add_argument("--delta", type=_flag(float, finite), required=True,
                    help="true treatment-minus-control mean difference")
     _add_sim_common(p)
-    p.add_argument("--prevalence", type=_prob_closed, default=None,
+    p.add_argument("--prevalence", type=_flag(float, probability), default=None,
                    help="run paired null+effect batches and report mixture FDR")
     p.add_argument("--interval", default=None, metavar="LO,HI",
                    type=_flag(_float_pair, lambda pair: mc.grid_interval(*pair)),
@@ -425,10 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="effect-size inflation among significant tests "
                             "versus per-group sample size")
     p.add_argument("--n-list", type=_flag(_int_list, mc.curve_sizes),
-                   default=list(_DEFAULT_N_LIST), metavar="N1,N2,...",
+                   default=_DEFAULT_N_LIST, metavar="N1,N2,...",
                    help="per-group sample sizes (default "
                         + ",".join(str(n) for n in _DEFAULT_N_LIST) + ")")
-    p.add_argument("--delta", type=_finite_float, default=1.0,
+    p.add_argument("--delta", type=_flag(float, finite), default=1.0,
                    help="true treatment-minus-control mean difference (default 1)")
     _add_sim_common(p)
     _add_format(p)
@@ -470,6 +448,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 5
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

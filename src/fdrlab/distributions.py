@@ -22,7 +22,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, FdrLabError
+from .errors import (DomainError, FdrLabError, finite, integer_at_least,
+                     positive, probability, uint64_value)
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -285,12 +286,10 @@ def regularized_incomplete_beta(a, b, x):
     absolute error below 1e-10 (in practice a few 1e-15).  A float `x` takes
     a path in `math` floats, free of numpy's per-call overhead.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
-        raise DomainError("a and b must be finite and positive")
+    a = positive(a, "a")
+    b = positive(b, "b")
     if np.ndim(x) == 0:
-        return _betainc_scalar(a, b, float(x))
+        return _betainc_scalar(a, b, probability(x, "x"))
     arr, _ = _asarray_checked(x, "x")
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise DomainError("x must lie in [0, 1]")
@@ -314,10 +313,6 @@ def regularized_incomplete_beta(a, b, x):
 
 
 def _betainc_scalar(a: float, b: float, x: float) -> float:
-    if not math.isfinite(x):
-        raise DomainError("x must be finite")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError("x must lie in [0, 1]")
     if x == 0.0 or x == 1.0:
         return x
     lbeta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
@@ -334,9 +329,7 @@ def student_t_cdf(t, df):
 
     Symmetric, cdf(-t) = 1 - cdf(t) to within one rounding; accepts array `t`.
     """
-    df = float(df)
-    if not math.isfinite(df) or df <= 0.0:
-        raise DomainError("df must be finite and positive")
+    df = positive(df, "df")
     arr, scalar = _asarray_checked(t, "t")
     # P(T <= -|t|) = I_x(df/2, 1/2) / 2 at x = df / (df + t^2).  For t^2 < 3
     # it is 1/2 - I_y(1/2, df/2) / 2 at y = t^2 / (df + t^2) instead: there
@@ -363,12 +356,8 @@ def noncentral_t_cdf(t, df, ncp):
     that is checked against an mpmath oracle for df from 1 to 313956, |ncp|
     up to 200 and t on both sides of the step, t = 0 included.
     """
-    df = float(df)
-    ncp = float(ncp)
-    if not math.isfinite(df) or df <= 0.0:
-        raise DomainError("df must be finite and positive")
-    if not math.isfinite(ncp):
-        raise DomainError("ncp must be finite")
+    df = positive(df, "df")
+    ncp = finite(ncp, "ncp")
     arr, scalar = _asarray_checked(t, "t")
     if ncp == 0.0:
         return student_t_cdf(t, df)
@@ -452,22 +441,6 @@ def _nct_cdf_quadrature(t: np.ndarray, df: float, delta: float) -> np.ndarray:
 # Seeded sampling.
 # ---------------------------------------------------------------------------
 
-_UINT64_MAX = 2 ** 64
-
-
-def uint64_value(value, name: str = "seed", error: type = DomainError) -> int:
-    """`value` as an int, if it is an integer in [0, 2**64); else `error`.
-
-    The one rule for seeds and stream indices, shared by `RngStream`,
-    `SimConfig` and the CLI.
-    """
-    if not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer; got {value!r}")
-    if not 0 <= int(value) < _UINT64_MAX:
-        raise error(f"{name} must fit in an unsigned 64-bit integer; got {value}")
-    return int(value)
-
-
 class RngStream:
     """One independent substream of a counter-based generator.
 
@@ -549,12 +522,10 @@ def block_uniforms(streams, size: int) -> np.ndarray:
     where the row ends.  Every stream must be fresh: one that has already
     drawn raises ``DomainError``.
     """
-    if not isinstance(size, (int, np.integer)) or size < 0:
-        raise DomainError("size must be a non-negative integer")
+    size = integer_at_least(size, 0, "size")
     for stream in streams:
         if stream._gen is not None or stream._block_drawn:
             raise DomainError(f"{stream!r} has already drawn")
-    size = int(size)
     blocks = -(-size // 4)
     k0 = np.array([s.master_seed for s in streams], dtype=np.uint64)[:, None]
     k1 = np.array([s.stream_index for s in streams], dtype=np.uint64)[:, None]
@@ -586,12 +557,8 @@ def sample_normal(stream: RngStream, mean: float, sd: float, size=None):
     stay aligned no matter what was sampled before (rejection samplers do
     not have this property).  Returns a float when `size` is None.
     """
-    mean = float(mean)
-    sd = float(sd)
-    if not math.isfinite(mean):
-        raise DomainError("mean must be finite")
-    if not math.isfinite(sd) or sd <= 0.0:
-        raise DomainError("sd must be positive")
+    mean = finite(mean, "mean")
+    sd = positive(sd, "sd")
     u = stream.uniforms(size)
     z = normal_quantile(u)
     return mean + sd * z

@@ -24,19 +24,12 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, UndefinedResultError
+from .errors import DomainError, UndefinedResultError, positive, probability
 
 _INV_E = 1.0 / math.e
 
 # The six p values conventionally tabulated for the minimum-FDR calibration.
 BERGER_TABLE_P = (0.2, 0.1, 0.05, 0.01, 0.005, 0.001)
-
-
-def _check_prob(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1]")
-    return value
 
 
 @dataclass(frozen=True)
@@ -49,7 +42,7 @@ class DiagnosticSpec:
 
     def __post_init__(self):
         for name in ("prevalence", "sensitivity", "specificity"):
-            _check_prob(getattr(self, name), name)
+            probability(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -66,7 +59,7 @@ class TestScenario:
 
     def __post_init__(self):
         for name in ("prevalence", "power", "alpha"):
-            _check_prob(getattr(self, name), name)
+            probability(getattr(self, name), name)
         if self.power < self.alpha:
             warnings.warn(
                 f"power ({self.power}) below alpha ({self.alpha}): "
@@ -184,9 +177,7 @@ def screening_breakdown(spec: DiagnosticSpec, population: float | None = None) -
     Identical arithmetic to `significance_breakdown` under the standard
     mapping sensitivity -> power, 1 - specificity -> alpha.
     """
-    scale = 1.0 if population is None else float(population)
-    if not math.isfinite(scale) or scale <= 0.0:
-        raise DomainError("population must be positive")
+    scale = 1.0 if population is None else positive(population, "population")
     return _tree_breakdown(spec.prevalence, spec.sensitivity,
                            1.0 - spec.specificity, scale)
 
@@ -197,9 +188,7 @@ def significance_breakdown(scenario: TestScenario, n_tests: float | None = None)
     The quoted branches are power (significant among real effects) and alpha
     (significant among nulls); rates do not depend on `n_tests`.
     """
-    scale = 1.0 if n_tests is None else float(n_tests)
-    if not math.isfinite(scale) or scale <= 0.0:
-        raise DomainError("n_tests must be positive")
+    scale = 1.0 if n_tests is None else positive(n_tests, "n_tests")
     return _tree_breakdown(scenario.prevalence, scenario.power,
                            scenario.alpha, scale)
 

@@ -33,8 +33,10 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import power as power_mod
-from .distributions import RngStream, block_uniforms, normal_quantile, uint64_value
-from .errors import ConfigurationError, DomainError, UndefinedResultError
+from .distributions import RngStream, block_uniforms, normal_quantile
+from .errors import (ConfigurationError, DomainError, UndefinedResultError, finite,
+                     integer_at_least, open_probability, positive, probability,
+                     uint64_value)
 from .fdr_calculus import Breakdown, TestScenario, significance_breakdown
 from .ttest import batch_two_sample_t
 
@@ -118,18 +120,14 @@ class SimConfig:
     master_seed: int = DEFAULT_MASTER_SEED
 
     def __post_init__(self):
-        if not isinstance(self.n_per_group, (int, np.integer)) or self.n_per_group < 2:
-            raise ConfigurationError("n_per_group must be an integer >= 2")
-        if not isinstance(self.n_sims, (int, np.integer)) or self.n_sims < 1:
-            raise ConfigurationError("n_sims must be a positive integer")
-        for name in ("true_mean_control", "true_mean_treatment", "sd"):
-            if not math.isfinite(float(getattr(self, name))):
-                raise ConfigurationError(f"{name} must be finite")
-        if self.sd <= 0.0:
-            raise ConfigurationError("sd must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigurationError("alpha must lie strictly inside (0, 1)")
-        uint64_value(self.master_seed, "master_seed", ConfigurationError)
+        error = ConfigurationError
+        integer_at_least(self.n_per_group, 2, "n_per_group", error)
+        integer_at_least(self.n_sims, 1, "n_sims", error)
+        finite(self.true_mean_control, "true_mean_control", error)
+        finite(self.true_mean_treatment, "true_mean_treatment", error)
+        positive(self.sd, "sd", error)
+        open_probability(self.alpha, "alpha", error)
+        uint64_value(self.master_seed, "master_seed", error)
 
     @property
     def true_diff(self) -> float:
@@ -285,8 +283,7 @@ class MixtureSpec:
     effect_summary: SimSummary
 
     def __post_init__(self):
-        if not 0.0 <= float(self.prevalence) <= 1.0:
-            raise DomainError("prevalence must lie in [0, 1]")
+        probability(self.prevalence, "prevalence")
         a = self.null_summary.config
         b = self.effect_summary.config
         mismatched = [name for name in ("n_per_group", "sd", "alpha", "n_sims")

@@ -14,22 +14,7 @@ import sys
 import numpy as np
 
 from .distributions import noncentral_t_cdf, normal_quantile, student_t_cdf
-from .errors import DomainError
-
-
-def _check_n(n_per_group) -> int:
-    if not isinstance(n_per_group, (int, np.integer)) or isinstance(n_per_group, bool):
-        raise DomainError("n_per_group must be an integer")
-    if n_per_group < 2:
-        raise DomainError("n_per_group must be at least 2")
-    return int(n_per_group)
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must lie strictly inside (0, 1)")
-    return alpha
+from .errors import DomainError, finite, integer_at_least, open_probability, positive
 
 
 # Newton steps `student_t_quantile` takes at most.
@@ -71,12 +56,8 @@ def student_t_quantile(p: float, df: float) -> float:
     after `_QUANTILE_STEPS` steps; ``student_t_cdf`` of the result returns p
     to within that noise (checked to 1e-9 relative to min(p, 1 - p)).
     """
-    p = float(p)
-    df = float(df)
-    if not 0.0 < p < 1.0:
-        raise DomainError("p must lie strictly inside (0, 1)")
-    if not math.isfinite(df) or df <= 0.0:
-        raise DomainError("df must be finite and positive")
+    p = open_probability(p, "p")
+    df = positive(df, "df")
     if p == 0.5:
         return 0.0
     t = _lower_t_quantile(min(p, 1.0 - p), df)
@@ -136,11 +117,9 @@ def power_two_sample(n_per_group: int, effect_size_d: float, alpha: float = 0.05
     standard deviation; its sign does not matter.  Both tails come from one
     `noncentral_t_cdf` call at -t_crit and t_crit.
     """
-    n = _check_n(n_per_group)
-    alpha = _check_alpha(alpha)
-    d = float(effect_size_d)
-    if not math.isfinite(d):
-        raise DomainError("effect_size_d must be finite")
+    n = integer_at_least(n_per_group, 2, "n_per_group")
+    alpha = open_probability(alpha, "alpha")
+    d = finite(effect_size_d, "effect_size_d")
     df = 2 * n - 2
     ncp = d * math.sqrt(n / 2.0)
     t_crit = student_t_quantile(1.0 - 0.5 * alpha, df)
@@ -160,13 +139,11 @@ def solve_n(target_power: float, effect_size_d: float, alpha: float = 0.05) -> i
     bisects over integers.  A zero effect, a target of 1 or more, or a
     required n above 2**32 raises `DomainError`.
     """
-    target = float(target_power)
-    if not math.isfinite(target) or not 0.0 < target < 1.0:
-        raise DomainError("target power must lie strictly inside (0, 1)")
-    d = float(effect_size_d)
-    if d == 0.0 or not math.isfinite(d):
+    target = open_probability(target_power, "target power")
+    d = finite(effect_size_d, "effect size")
+    if d == 0.0:
         raise DomainError("effect size must be nonzero to reach any power")
-    alpha = _check_alpha(alpha)
+    alpha = open_probability(alpha, "alpha")
 
     def reaches(n: int) -> bool:
         return power_two_sample(n, d, alpha) >= target

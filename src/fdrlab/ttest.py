@@ -8,13 +8,12 @@ one code path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import regularized_incomplete_beta
-from .errors import DegenerateDataError, DomainError
+from .errors import DegenerateDataError, DomainError, open_probability
 
 # Smallest positive p value ever reported; keeps p strictly above zero even
 # for absurdly large t statistics.
@@ -98,7 +97,4 @@ def batch_two_sample_t(group1: np.ndarray, group2: np.ndarray):
 
 def significant(result: TestResult, alpha: float) -> bool:
     """True when the test's p value is at or below `alpha` (inclusive)."""
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must lie strictly inside (0, 1)")
-    return result.p_two_sided <= alpha
+    return result.p_two_sided <= open_probability(alpha, "alpha")

@@ -2,6 +2,7 @@
 documented exit codes, seed handling, and histogram export.
 """
 
+import argparse
 import csv
 import io
 import json
@@ -9,7 +10,8 @@ import math
 
 import pytest
 
-from fdrlab.cli import main
+from fdrlab import cli
+from fdrlab.cli import build_parser, main
 
 
 _SCALARS = ("count_significant", "fraction_significant", "mean_diff_all",
@@ -101,6 +103,17 @@ class TestBerger:
         code, _, err = run_cli(capsys, "berger", "--p", "0.5")
         assert code == 3
         assert "1/e" in err
+        # inside (0, 1), so the flag accepts it, but past the largest
+        # reachable minimum FDR
+        code, _, err = run_cli(capsys, "berger", "--target-fdr", "0.5")
+        assert code == 3
+        assert "error:" in err
+
+    def test_p_of_one_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["berger", "--p", "1"])
+        assert err.value.code == 2
+        assert "argument --p: " in capsys.readouterr().err
 
 
 class TestPower:
@@ -116,6 +129,12 @@ class TestPower:
         with pytest.raises(SystemExit) as err:
             main(["power", "--n", "1", "--d", "1"])
         assert err.value.code == 2
+
+    def test_solve_with_zero_effect_exits_3(self, capsys):
+        # d = 0 is a finite --d, but no n reaches any power
+        code, _, err = run_cli(capsys, "power", "--solve", "--target", "0.8", "--d", "0")
+        assert code == 3
+        assert "nonzero" in err
 
 
 class TestSimulate:
@@ -313,12 +332,81 @@ class TestInflation:
         assert len(rows) == 11
         assert [int(r["n_per_group"]) for r in rows] == [3, 4, 5, 6, 8, 10, 12, 14, 16, 20, 50]
 
+    def test_custom_n_list_leaves_the_default_alone(self, capsys):
+        # the parser is built once, so its default must not be shared state
+        assert run_cli(capsys, "inflation", "--n-list", "3,4", "--n-sims", "64")[0] == 0
+        code, out, _ = run_cli(capsys, "inflation", "--n-sims", "64", "--format", "csv")
+        assert code == 0
+        assert len(list(csv.DictReader(io.StringIO(out)))) == 11
+
     def test_bad_n_exits_2(self, capsys):
         for n_list in ("2,8", "", "3,x", "3.5", "inf"):
             with pytest.raises(SystemExit) as err:
                 main(["inflation", "--n-list", n_list, "--delta", "1"])
             assert err.value.code == 2, n_list
             assert "--n-list" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("exc, code, message", [
+    (KeyboardInterrupt, 130, "error: interrupted"),
+    (MemoryError, 5, "error: out of memory"),
+])
+def test_interrupt_and_memory_error_exit_codes(capsys, monkeypatch, exc, code, message):
+    # The parser, built once, holds the handlers themselves, so the handler
+    # is made to raise through the library call it makes.
+    def raise_it(*args, **kwargs):
+        raise exc()
+
+    monkeypatch.setattr(cli.fc, "berger_table", raise_it)
+    assert main(["berger", "--table"]) == code
+    err = capsys.readouterr().err
+    assert err.strip() == message
+    assert "Traceback" not in err
+
+
+# A valid value for every option that some command requires, directly or as
+# the first member of a required mutually exclusive group.
+_VALID = {"--prevalence": "0.1", "--sensitivity": "0.8", "--specificity": "0.95",
+          "--power": "0.8", "--alpha": "0.05", "--p": "0.05", "--n": "16",
+          "--d": "1", "--n-per-group": "4", "--delta": "1"}
+
+
+def _typed_flags():
+    """(subcommand, argv of the other required flags, flag) for every option
+    with a `type`, on every subcommand."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        groups = [g for g in parser._mutually_exclusive_groups if g.required]
+        for action in parser._actions:
+            if action.type is None:
+                continue
+            flag = action.option_strings[0]
+            rest = []
+            for other in parser._actions:
+                if other.required and other is not action:
+                    rest += [other.option_strings[0], _VALID[other.option_strings[0]]]
+            for group in groups:
+                if action not in group._group_actions:
+                    first = group._group_actions[0].option_strings[0]
+                    rest += [first, _VALID[first]]
+            yield name, rest, flag
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_every_typed_flag_rejects_non_finite_values(capsys, value):
+    checked = 0
+    for name, rest, flag in _typed_flags():
+        with pytest.raises(SystemExit) as err:
+            main([name, *rest, flag, value])
+        assert err.value.code == 2, (name, flag, value)
+        assert f"argument {flag}: " in capsys.readouterr().err, (name, flag, value)
+        checked += 1
+    assert checked == 31  # screen 4, fdr 4, berger 2, power 4, simulate 10, inflation 7
 
 
 def test_json_round_trips_losslessly(capsys):

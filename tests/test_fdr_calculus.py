@@ -4,10 +4,12 @@ identities, and extended-precision recomputation (mpmath).
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fdrlab.errors import DomainError, UndefinedResultError
 from fdrlab.fdr_calculus import (
@@ -198,6 +200,37 @@ def _mpmath_min_fdr(p: float) -> float:
     with mpmath.workdps(60):
         b = -mpmath.e * mpmath.mpf(p) * mpmath.ln(mpmath.mpf(p))
         return float(b / (1 + b))
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+class TestProperties:
+    """fdr + ppv == 1 on random valid trees; inputs with no positives at all
+    (an undefined FDR) are skipped."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_unit, _unit, _unit, st.none() | st.floats(1e-300, 1e300))
+    def test_significance_fdr_plus_ppv_is_one(self, prevalence, power, alpha, n_tests):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # power < alpha warns
+            scenario = Scenario(prevalence, power, alpha)
+        try:
+            b = significance_breakdown(scenario, n_tests=n_tests)
+        except UndefinedResultError:
+            assume(False)
+        assert abs(b.fdr + b.ppv - 1.0) <= 1e-15
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_unit, _unit, _unit, st.none() | st.floats(1e-300, 1e300))
+    def test_screening_fdr_plus_ppv_is_one(self, prevalence, sensitivity,
+                                           specificity, population):
+        spec = DiagnosticSpec(prevalence, sensitivity, specificity)
+        try:
+            b = screening_breakdown(spec, population=population)
+        except UndefinedResultError:
+            assume(False)
+        assert abs(b.fdr + b.ppv - 1.0) <= 1e-15
 
 
 class TestBergerCalibration:

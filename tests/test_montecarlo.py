@@ -314,8 +314,9 @@ def test_histogram_rows_and_csv(tmp_path):
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         SimConfig(n_per_group=1)
-    with pytest.raises(ConfigurationError):
-        SimConfig(n_per_group=4, n_sims=0)
+    for n_sims in (0, True):
+        with pytest.raises(ConfigurationError):
+            SimConfig(n_per_group=4, n_sims=n_sims)
     with pytest.raises(ConfigurationError):
         SimConfig(n_per_group=4, sd=0.0)
     with pytest.raises(ConfigurationError):
