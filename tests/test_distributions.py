@@ -381,6 +381,29 @@ class TestStreamBits:
         assert hashlib.sha256(u.tobytes()).hexdigest() == self.PINNED[seed, index, k]
 
 
+class TestKernelBits:
+    # SHA-256 of the float64 bytes of `normal_quantile` and `normal_cdf` over
+    # fixed inputs.  The quantile inputs hold the uniform lattice's extremes,
+    # points on both sides of each Acklam tail boundary, 1e-300 (whose
+    # Acklam value lies past the Halley step's cut-off) and 10,000 seeded
+    # uniforms; the CDF grid reaches all three erfc branches and the clamp
+    # at |x| = 30.  Unlike `TestStreamBits` these run through numpy's exp
+    # and log, so they pin this platform's float kernels as well.
+    QUANTILE_INPUTS = (2.0 ** -54, 1.0 - 2.0 ** -53, 1e-300, 1e-10, 0.001, 0.02,
+                       0.02424, 0.02425, 0.02426, 0.5, 0.97574, 0.97576, 0.98,
+                       0.999, 1.0 - 1e-10)
+    QUANTILE = "73298e25c6c6f6db5e5dac142b486ee8962d3b0f791592298e45bbe5895369e6"
+    CDF = "901a0c8c1dc23c4f091839a16640ae516c911c657effc0ea65b240a398398d1c"
+
+    def test_normal_quantile_digest(self):
+        p = np.concatenate((self.QUANTILE_INPUTS, RngStream(2024, 0).uniforms(10_000)))
+        assert hashlib.sha256(normal_quantile(p).tobytes()).hexdigest() == self.QUANTILE
+
+    def test_normal_cdf_digest(self):
+        x = np.linspace(-40.0, 40.0, 80001)
+        assert hashlib.sha256(normal_cdf(x).tobytes()).hexdigest() == self.CDF
+
+
 class TestBlockUniforms:
     KEYS = [(0, 0), (12345, 17), (_MAX64, 0), (0, _MAX64), (_MAX64, _MAX64),
             (_MAX64 - 1, _MAX64 - 2), (2 ** 63, 2 ** 32 - 1)]

@@ -3,6 +3,7 @@ t-test path, histogram/interval bookkeeping, mixture arithmetic, and the
 inflation statistic against a truncated-normal quadrature oracle.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -48,6 +49,36 @@ def test_bounded_pipeline_same_bits_for_any_thread_count():
     single = run_batch(cfg, threads=1)
     assert run_batch(cfg, threads=3).to_json() == single.to_json()
     assert int(single.p_histogram.sum()) == cfg.n_sims
+
+
+_MAX64 = 2 ** 64 - 1
+
+# SHA-256 of run_batch(...).to_json() at 8199 experiments (two full chunks and
+# a short one of 7), true difference 0.5.  The cases run in this order, in
+# one process, so a kernel that keeps buffers between chunks is exercised
+# across different n and across a short final chunk.
+_BATCH_DIGESTS = {
+    (50, 0): "9b09b590090b464ac2db814ae00f7603900ff55baad5f1b79c3165f550f6d2af",
+    (50, _MAX64): "561caea1bd522ce39510355c1773e61042e305436220d0c0f265b825ccb973dd",
+    (2, 0): "d41d25dfeac832ce3fc7daeb0093deb828941a48e7b28cb89aa2113e5213f257",
+    (2, _MAX64): "de90e86180d53acaa28fa4c095706aceb9a04a2e4ed8d2503054908cb897a377",
+    (16, 0): "3984cb715bcea13dbe371df4e8fd113ef4fe4aa175213cf5345bd2060de5bdd9",
+    (16, _MAX64): "21e3b880ccedbb6d212625b307a045d76e0590c8cce27c6c91bfffd66c3d86f8",
+    (3, 0): "6f2d8207ab21e9d3c8904d830003bbf96ddbe2ccb6492a686f6840370c433a05",
+    (3, _MAX64): "4b02da47bb017d8bfd18929e545e22873d0bd91d99e9bb42ab42e7dd1e596c6b",
+}
+
+
+def test_batch_digests_pinned_across_n_seeds_and_threads():
+    wrong = []
+    for (n, seed), digest in _BATCH_DIGESTS.items():
+        cfg = SimConfig(n_per_group=n, true_mean_treatment=0.5, n_sims=8199,
+                        master_seed=seed)
+        for threads in (1, 2):
+            text = run_batch(cfg, threads=threads).to_json()
+            if hashlib.sha256(text.encode()).hexdigest() != digest:
+                wrong.append((n, seed, threads))
+    assert wrong == []
 
 
 def test_thread_cap_is_checked_before_any_thread(monkeypatch):
