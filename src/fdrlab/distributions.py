@@ -17,8 +17,11 @@ draws many fresh streams at once with a numpy Philox4x64-10, bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -38,7 +41,8 @@ def _asarray_checked(x, name: str) -> tuple[np.ndarray, bool]:
     """Coerce to float64 ndarray, rejecting non-finite entries."""
     scalar = np.isscalar(x) or (hasattr(x, "ndim") and x.ndim == 0)
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    # min and max are NaN or infinite when any entry is, and allocate nothing
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise DomainError(f"{name} must be finite")
     return arr, scalar
 
@@ -48,85 +52,198 @@ def _ret(arr: np.ndarray, scalar: bool):
 
 
 # ---------------------------------------------------------------------------
-# erfc: W. J. Cody's rational Chebyshev approximation (netlib CALERF layout),
-# accurate to a few ulps over the whole double range.
+# Scratch memory for the simulation kernels.
 # ---------------------------------------------------------------------------
 
-_ERF_A = (3.16112374387056560e0, 1.13864154151050156e2,
-          3.77485237685302021e2, 3.20937758913846947e3)
-_ERF_A4 = 1.85777706184603153e-1
-_ERF_B = (2.36012909523441209e1, 2.44024637934444173e2,
-          1.28261652607737228e3, 2.84423683343917062e3)
-
-_ERFC_C = (5.64188496988670089e-1, 8.88314979438837594e0,
-           6.61191906371416295e1, 2.98635138197400131e2,
-           8.81952221241769090e2, 1.71204761263407058e3,
-           2.05107837782607147e3)
-_ERFC_C7 = 1.23033935479799725e3
-_ERFC_C8 = 2.15311535474403846e-8
-_ERFC_D = (1.57449261107098347e1, 1.17693950891312499e2,
-           5.37181101862009858e2, 1.62138957456669019e3,
-           3.29079923573345963e3, 4.36261909014324716e3,
-           3.43936767414372164e3)
-_ERFC_D7 = 1.23033935480374942e3
-
-_ERFC_P = (3.05326634961232344e-1, 3.60344899949804439e-1,
-           1.25781726111229246e-1, 1.60837851487422766e-2)
-_ERFC_P4 = 6.58749161529837803e-4
-_ERFC_P5 = 1.63153871373020978e-2
-_ERFC_Q = (2.56852019228982242e0, 1.87295284992346047e0,
-           5.27905102951428412e-1, 6.05183413124413191e-2)
-_ERFC_Q4 = 2.33520497626869185e-3
+# Byte alignment of each array an arena hands out.
+_ALIGN = 64
 
 
-def _erfc(x: np.ndarray) -> np.ndarray:
-    """Complementary error function, vectorized, |rel err| ~ few ulps."""
-    x = np.asarray(x, dtype=np.float64)
-    # erfc(y) < 5e-324 for y > 27.3; clamp to avoid pointless overflow warnings
-    y = np.minimum(np.abs(x), 30.0)
-    out = np.empty_like(y)
+class Arena:
+    """Scratch memory that the kernels of one simulation chunk carve arrays from.
 
-    low = y <= 0.46875
-    if np.any(low):
-        z = y[low] * y[low]
-        num = _ERF_A4 * z
-        den = z
-        for ai, bi in zip(_ERF_A[:3], _ERF_B[:3]):
-            num = (num + ai) * z
-            den = (den + bi) * z
-        out[low] = 1.0 - y[low] * (num + _ERF_A[3]) / (den + _ERF_B[3])
+    `take` hands out typed views of one grow-only byte buffer, stacked one
+    after another, and `scope` gives back at the end of a block what the
+    block took.  The buffer therefore needs only the size of the largest
+    stage of a chunk, not the sum of all stages.  A request that does not
+    fit in the buffer gets a fresh array, and the arena records how many
+    bytes it would have needed; `reset` grows the buffer to that, so a
+    second chunk of the same shape allocates no large array.  A new
+    `Arena()` thus allocates like plain numpy code, which is what the
+    kernels use when they are called without one.
 
-    mid = (y > 0.46875) & (y <= 4.0)
-    if np.any(mid):
-        ym = y[mid]
-        num = _ERFC_C8 * ym
-        den = ym
-        for ci, di in zip(_ERFC_C, _ERFC_D):
-            num = (num + ci) * ym
-            den = (den + di) * ym
-        ratio = (num + _ERFC_C7) / (den + _ERFC_D7)
-        out[mid] = _exp_neg_sq(ym) * ratio
+    An arena serves one thread at a time.  Views it handed out are valid
+    until `reset`.
+    """
 
-    high = y > 4.0
-    if np.any(high):
-        yh = y[high]
-        z = 1.0 / (yh * yh)
-        num = _ERFC_P5 * z
-        den = z
-        for pi, qi in zip(_ERFC_P, _ERFC_Q):
-            num = (num + pi) * z
-            den = (den + qi) * z
-        ratio = z * (num + _ERFC_P4) / (den + _ERFC_Q4)
-        out[high] = _exp_neg_sq(yh) * (_INV_SQRT_PI - ratio) / yh
+    __slots__ = ("_buf", "_top", "high")
 
-    return np.where(x < 0.0, 2.0 - out, out)
+    def __init__(self):
+        self._buf = np.empty(0, dtype=np.uint8)
+        self._top = 0
+        self.high = 0       # most bytes in use at once since creation
+
+    @property
+    def nbytes(self) -> int:
+        return self._buf.nbytes
+
+    def take(self, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """An uninitialised array of `shape` and `dtype`."""
+        dtype = np.dtype(dtype)
+        start = -(-self._top // _ALIGN) * _ALIGN
+        self._top = start + math.prod(shape) * dtype.itemsize
+        self.high = max(self.high, self._top)
+        if self._top > self._buf.nbytes:
+            return np.empty(shape, dtype)
+        return self._buf[start:self._top].view(dtype).reshape(shape)
+
+    @contextlib.contextmanager
+    def scope(self):
+        """Arrays taken inside the block are given back when it ends."""
+        top = self._top
+        try:
+            yield self
+        finally:
+            self._top = top
+
+    def reset(self) -> None:
+        """Give back every array and grow the buffer to the high-water mark."""
+        self._top = 0
+        if self._buf.nbytes < self.high:
+            self._buf = np.empty(self.high, dtype=np.uint8)
 
 
-def _exp_neg_sq(y: np.ndarray) -> np.ndarray:
+# Arenas not in use, for the next chunk to take (see `borrowed_arena`): at
+# most one per core, and none past _ARENA_MAX_BYTES, so a run at a large n
+# does not leave its buffers behind.
+_SPARE_ARENAS: list[Arena] = []
+_SPARES_LOCK = threading.Lock()
+_MAX_SPARE_ARENAS = os.cpu_count() or 1
+_ARENA_MAX_BYTES = 64 * 2 ** 20
+
+
+@contextlib.contextmanager
+def borrowed_arena():
+    """An arena from the spare stack (or a new one), returned to it at the
+    end of the block whether the block raised or not."""
+    with _SPARES_LOCK:
+        arena = _SPARE_ARENAS.pop() if _SPARE_ARENAS else Arena()
+    try:
+        yield arena
+    finally:
+        if arena.high <= _ARENA_MAX_BYTES:
+            arena.reset()
+            with _SPARES_LOCK:
+                if len(_SPARE_ARENAS) < _MAX_SPARE_ARENAS:
+                    _SPARE_ARENAS.append(arena)
+
+
+def _horner(coeffs, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(...((c0*x + c1)*x + c2)...)*x + c_last into `out`, step by step."""
+    np.multiply(x, coeffs[0], out=out)
+    for c in coeffs[1:-1]:
+        out += c
+        out *= x
+    out += coeffs[-1]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# erfc: W. J. Cody's rational Chebyshev approximation (netlib CALERF layout),
+# accurate to a few ulps over the whole double range.  Coefficients are in
+# Horner order, highest power first; a leading 1.0 makes the first step of a
+# denominator exact.
+# ---------------------------------------------------------------------------
+
+_ERF_NUM = (1.85777706184603153e-1, 3.16112374387056560e0,
+            1.13864154151050156e2, 3.77485237685302021e2,
+            3.20937758913846947e3)
+_ERF_DEN = (1.0, 2.36012909523441209e1, 2.44024637934444173e2,
+            1.28261652607737228e3, 2.84423683343917062e3)
+
+_ERFC_NUM = (2.15311535474403846e-8, 5.64188496988670089e-1,
+             8.88314979438837594e0, 6.61191906371416295e1,
+             2.98635138197400131e2, 8.81952221241769090e2,
+             1.71204761263407058e3, 2.05107837782607147e3,
+             1.23033935479799725e3)
+_ERFC_DEN = (1.0, 1.57449261107098347e1, 1.17693950891312499e2,
+             5.37181101862009858e2, 1.62138957456669019e3,
+             3.29079923573345963e3, 4.36261909014324716e3,
+             3.43936767414372164e3, 1.23033935480374942e3)
+
+_ERFC_TAIL_NUM = (1.63153871373020978e-2, 3.05326634961232344e-1,
+                  3.60344899949804439e-1, 1.25781726111229246e-1,
+                  1.60837851487422766e-2, 6.58749161529837803e-4)
+_ERFC_TAIL_DEN = (1.0, 2.56852019228982242e0, 1.87295284992346047e0,
+                  5.27905102951428412e-1, 6.05183413124413191e-2,
+                  2.33520497626869185e-3)
+
+_ERFC_LOW_MAX = 0.46875
+_ERFC_MID_MAX = 4.0
+
+
+def _erfc(x: np.ndarray, out: np.ndarray, arena: Arena) -> np.ndarray:
+    """Complementary error function into `out`, |rel err| ~ few ulps.
+
+    The low and middle formulas run over every element and a masked copy
+    picks the middle one where it applies; each element goes through the
+    same operations as if it had been gathered.  The far tail, y > 4, is
+    gathered, since simulated inputs reach it rarely.
+    """
+    with arena.scope():
+        # erfc(y) < 5e-324 for y > 27.3; clamp to avoid pointless overflow
+        # warnings
+        y = np.abs(x, out=arena.take(x.shape))
+        np.minimum(y, 30.0, out=y)
+        y_max = y.max() if y.size else 0.0
+
+        with arena.scope():
+            z = np.multiply(y, y, out=arena.take(x.shape))
+            num = _horner(_ERF_NUM, z, arena.take(x.shape))
+            den = _horner(_ERF_DEN, z, arena.take(x.shape))
+            num *= y
+            num /= den
+            np.subtract(1.0, num, out=out)
+
+        if y_max > _ERFC_LOW_MAX:
+            with arena.scope():
+                mid = np.greater(y, _ERFC_LOW_MAX, out=arena.take(x.shape, bool))
+                ratio = _horner(_ERFC_NUM, y, arena.take(x.shape))
+                den = _horner(_ERFC_DEN, y, arena.take(x.shape))
+                ratio /= den
+                ratio *= _exp_neg_sq(y, den, arena)
+                np.copyto(out, ratio, where=mid)
+
+        if y_max > _ERFC_MID_MAX:
+            high = y > _ERFC_MID_MAX
+            yh = y[high]
+            z = 1.0 / (yh * yh)
+            ratio = z * _horner(_ERFC_TAIL_NUM, z, np.empty_like(z))
+            ratio /= _horner(_ERFC_TAIL_DEN, z, np.empty_like(z))
+            out[high] = _exp_neg_sq(yh, np.empty_like(yh), Arena()) * (_INV_SQRT_PI - ratio) / yh
+
+        with arena.scope():
+            flip = np.less(x, 0.0, out=arena.take(x.shape, bool))
+            np.copyto(out, np.subtract(2.0, out, out=arena.take(x.shape)), where=flip)
+    return out
+
+
+def _exp_neg_sq(y: np.ndarray, out: np.ndarray, arena: Arena) -> np.ndarray:
     # exp(-y*y) with the argument split on a 1/16 lattice, which keeps the
     # relative error of the product small deep in the tail (CALERF trick).
-    ysq = np.floor(y * 16.0) / 16.0
-    return np.exp(-ysq * ysq) * np.exp(-(y - ysq) * (y + ysq))
+    with arena.scope():
+        ysq = np.multiply(y, 16.0, out=arena.take(y.shape))
+        np.floor(ysq, out=ysq)
+        ysq /= 16.0
+        np.negative(ysq, out=out)
+        out *= ysq
+        np.exp(out, out=out)                          # exp(-ysq * ysq)
+        rest = np.subtract(y, ysq, out=arena.take(y.shape))
+        np.negative(rest, out=rest)
+        ysq += y
+        rest *= ysq
+        out *= np.exp(rest, out=rest)                 # exp(-(y - ysq) * (y + ysq))
+    return out
 
 
 def normal_cdf(x):
@@ -135,74 +252,95 @@ def normal_cdf(x):
     Accepts a float or an ndarray; non-finite input raises ``DomainError``.
     """
     arr, scalar = _asarray_checked(x, "x")
-    return _ret(0.5 * _erfc(-arr / _SQRT2), scalar)
-
-
-def _normal_pdf(x: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * x * x) / _SQRT_2PI
+    return _ret(0.5 * _erfc(-arr / _SQRT2, np.empty_like(arr), Arena()), scalar)
 
 
 # Acklam's rational approximation for the normal quantile (|rel err| < 1.2e-9
-# before refinement).
+# before refinement), coefficients in Horner order.
 _ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02,
           -2.759285104469687e+02, 1.383577518672690e+02,
           -3.066479806614716e+01, 2.506628277459239e+00)
 _ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02,
           -1.556989798598866e+02, 6.680131188771972e+01,
-          -1.328068155288572e+01)
+          -1.328068155288572e+01, 1.0)
 _ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01,
           -2.400758277161838e+00, -2.549732539343734e+00,
           4.374664141464968e+00, 2.938163982698783e+00)
 _ACK_D = (7.784695709041462e-03, 3.224671290700398e-01,
-          2.445134137142996e+00, 3.754408661907416e+00)
+          2.445134137142996e+00, 3.754408661907416e+00, 1.0)
 _ACK_P_LOW = 0.02425
 
 
-def _acklam(p: np.ndarray) -> np.ndarray:
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-    out = np.empty_like(p)
+def _acklam(p: np.ndarray, out: np.ndarray, arena: Arena) -> np.ndarray:
+    """Acklam's approximation into `out`: the central formula over every
+    element, then the two tails, gathered, over it."""
+    with arena.scope():
+        q = np.subtract(p, 0.5, out=arena.take(p.shape))
+        r = np.multiply(q, q, out=arena.take(p.shape))
+        _horner(_ACK_A, r, out)
+        out *= q
+        out /= _horner(_ACK_B, r, q)
 
-    lo = p < _ACK_P_LOW
-    hi = p > 1.0 - _ACK_P_LOW
-    mid = ~(lo | hi)
-
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        out[mid] = q * num / den
-
-    for mask, tail_p, sign in ((lo, p[lo], -1.0), (hi, 1.0 - p[hi], 1.0)):
-        if np.any(mask):
-            q = np.sqrt(-2.0 * np.log(tail_p))
-            num = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-            den = ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-            out[mask] = -sign * num / den
-
+        tail = arena.take(p.shape, bool)
+        for sign, in_tail, bound in ((-1.0, np.less, _ACK_P_LOW),
+                                     (1.0, np.greater, 1.0 - _ACK_P_LOW)):
+            if np.any(in_tail(p, bound, out=tail)):
+                tail_p = p[tail] if sign < 0.0 else 1.0 - p[tail]
+                q = np.sqrt(-2.0 * np.log(tail_p))
+                num = _horner(_ACK_C, q, np.empty_like(q))
+                out[tail] = -sign * num / _horner(_ACK_D, q, np.empty_like(q))
     return out
 
 
-def normal_quantile(p):
+# Past this |x| the gaussian density underflows in the Halley step, and
+# Acklam's value is already ample.
+_HALLEY_MAX = 37.0
+
+
+def _halley(x: np.ndarray, p: np.ndarray, out: np.ndarray, arena: Arena) -> np.ndarray:
+    """One Halley step from x toward the quantile of p, into `out`, which
+    may be `p` itself."""
+    with arena.scope():
+        # x / -sqrt(2) rounds to exactly -(x / sqrt(2)): rounding is symmetric
+        half_x = np.divide(x, -_SQRT2, out=arena.take(x.shape))
+        err = _erfc(half_x, arena.take(x.shape), arena)
+        err *= 0.5
+        err -= p
+        np.multiply(x, 0.5, out=half_x)
+        step = np.multiply(half_x, x, out=arena.take(x.shape))
+        err *= _SQRT_2PI
+        err *= np.exp(step, out=step)                 # u
+        np.multiply(half_x, err, out=step)
+        step += 1.0
+        err /= step
+        return np.subtract(x, err, out=out)           # x - u / (1 + x u / 2)
+
+
+def normal_quantile(p, *, out=None, arena=None):
     """Inverse of `normal_cdf` on (0, 1).
 
     Acklam's approximation followed by one Halley step against the rational
     erfc, so the roundtrip ``normal_cdf(normal_quantile(p))`` holds to much
     better than 1e-10.
+
+    `out` receives the result and may be `p` itself; `arena` supplies the
+    scratch arrays (see `Arena`).
     """
     arr, scalar = _asarray_checked(p, "p")
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if arr.size and not (0.0 < arr.min() and arr.max() < 1.0):
         raise DomainError("p must lie strictly inside (0, 1)")
-    x = _acklam(arr)
-    # One Halley refinement; skipped in the far tail where the gaussian
-    # density underflows (the raw approximation is already ample there).
-    refine = np.abs(x) < 37.0
-    if np.any(refine):
-        xr = x[refine]
-        err = 0.5 * _erfc(-xr / _SQRT2) - arr[refine]
-        u = err * _SQRT_2PI * np.exp(0.5 * xr * xr)
-        x[refine] = xr - u / (1.0 + 0.5 * xr * u)
-    return _ret(x, scalar)
+    out = np.empty_like(arr) if out is None else out
+    arena = Arena() if arena is None else arena
+    with arena.scope():
+        x = _acklam(arr, arena.take(arr.shape), arena)
+        if not arr.size or -_HALLEY_MAX < x.min() and x.max() < _HALLEY_MAX:
+            _halley(x, arr, out, arena)
+        else:
+            refine = np.abs(x) < _HALLEY_MAX
+            xr = x[refine]
+            x[refine] = _halley(xr, arr[refine], xr, Arena())
+            np.copyto(out, x)
+    return _ret(out, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -492,27 +630,64 @@ class RngStream:
 
 # Philox4x64-10 constants (Salmon et al., "Parallel random numbers: as easy
 # as 1, 2, 3", SC 2011), as in numpy's Philox.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit product m * x, from 32-bit
-    halves so that no partial product overflows."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LOW32, x >> _U32
-    lo_lo = m_lo * x_lo
-    hi_lo = m_hi * x_lo
-    lo_hi = m_lo * x_hi
-    carry = (lo_lo >> _U32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)
-    hi = m_hi * x_hi + (hi_lo >> _U32) + (lo_hi >> _U32) + (carry >> _U32)
-    return hi, np.uint64(m) * x
+def _mulhi(m: np.uint64, x: np.ndarray, out: np.ndarray, a: np.ndarray,
+           b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """High 64-bit word of the 128-bit product m * x into `out`, from 32-bit
+    halves so that no partial product overflows (Hacker's Delight, 8-2);
+    a, b and c are scratch of x's shape."""
+    m_lo, m_hi = m & _LOW32, m >> _U32
+    np.bitwise_and(x, _LOW32, out=a)                  # x_lo
+    np.right_shift(x, _U32, out=b)                    # x_hi
+    np.multiply(a, m_lo, out=c)
+    np.right_shift(c, _U32, out=c)
+    np.multiply(a, m_hi, out=a)
+    np.add(a, c, out=a)                               # t = m_hi x_lo + (m_lo x_lo >> 32)
+    np.multiply(b, m_lo, out=c)
+    np.multiply(b, m_hi, out=b)
+    np.right_shift(a, _U32, out=out)
+    out += b                                          # m_hi x_hi + (t >> 32)
+    np.bitwise_and(a, _LOW32, out=a)
+    a += c                                            # (t & low32) + m_lo x_hi
+    a >>= _U32
+    out += a
+    return out
 
 
-def block_uniforms(streams, size: int) -> np.ndarray:
+def _philox(k0: np.ndarray, k1: np.ndarray, blocks: int, arena: Arena) -> list[np.ndarray]:
+    """Philox4x64-10 of counters 1..blocks under the keys (k0, k1), given as
+    column vectors and bumped in place: the four output words, each of
+    shape (len(k0), blocks), taken from `arena`."""
+    shape = (len(k0), blocks)
+    x0, x1, x2, x3, hi0, hi1, a, b, c = (arena.take(shape, np.uint64) for _ in range(9))
+    x0[...] = np.arange(1, blocks + 1, dtype=np.uint64)
+    for word in (x1, x2, x3):
+        word.fill(0)
+    m0, m1 = _PHILOX_M
+    for rnd in range(_PHILOX_ROUNDS):
+        if rnd:
+            k0 += _PHILOX_W[0]
+            k1 += _PHILOX_W[1]
+        _mulhi(m0, x0, hi0, a, b, c)
+        _mulhi(m1, x2, hi1, a, b, c)
+        hi1 ^= x1
+        hi1 ^= k0
+        np.multiply(x2, m1, out=x1)
+        hi0 ^= x3
+        hi0 ^= k1
+        np.multiply(x0, m0, out=x3)
+        # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0)
+        x0, hi1, x2, hi0 = hi1, x0, hi0, x2
+    return [x0, x1, x2, x3]
+
+
+def block_uniforms(streams, size: int, *, arena: Arena | None = None) -> np.ndarray:
     """The first `size` uniforms of each of `streams`, drawn all at once.
 
     Runs Philox4x64-10 over every stream's key and counters 1..ceil(size/4)
@@ -520,34 +695,31 @@ def block_uniforms(streams, size: int) -> np.ndarray:
     bit-identical to ``streams[i].uniforms(size)`` on a fresh stream, and the
     streams are advanced past the draws, so a later `uniforms` call continues
     where the row ends.  Every stream must be fresh: one that has already
-    drawn raises ``DomainError``.
+    drawn raises ``DomainError``.  With an `arena` the result is a view into
+    it (see `Arena`).
     """
     size = integer_at_least(size, 0, "size")
     for stream in streams:
         if stream._gen is not None or stream._block_drawn:
             raise DomainError(f"{stream!r} has already drawn")
-    blocks = -(-size // 4)
-    k0 = np.array([s.master_seed for s in streams], dtype=np.uint64)[:, None]
-    k1 = np.array([s.stream_index for s in streams], dtype=np.uint64)[:, None]
-    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64),
-                         (len(streams), blocks))
-    x1 = x2 = x3 = np.zeros_like(x0)
-    for rnd in range(_PHILOX_ROUNDS):
-        if rnd:
-            k0 = k0 + _PHILOX_W[0]
-            k1 = k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    raw = np.stack((x0, x1, x2, x3), axis=-1).reshape(len(streams), 4 * blocks)
-    # numpy's double: the top 53 bits times 2**-53; then the stream's
-    # midpoint shift and clamp.
-    u = (raw[:, :size] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    arena = Arena() if arena is None else arena
+    rows, blocks = len(streams), -(-size // 4)
+    u = arena.take((rows, blocks, 4))
+    with arena.scope():
+        k0 = np.array([s.master_seed for s in streams], dtype=np.uint64)[:, None]
+        k1 = np.array([s.stream_index for s in streams], dtype=np.uint64)[:, None]
+        # numpy's double: the top 53 bits times 2**-53, word j of each block
+        # being draw 4 * block + j
+        for j, word in enumerate(_philox(k0, k1, blocks, arena)):
+            word >>= np.uint64(11)
+            np.multiply(word, 2.0 ** -53, out=u[:, :, j])
+    # then the stream's midpoint shift and clamp
+    u = u.reshape(rows, 4 * blocks)
     u += _U_SHIFT
     np.minimum(u, _U_MAX, out=u)
     for stream in streams:
         stream._block_drawn = size
-    return u
+    return u[:, :size]
 
 
 def sample_normal(stream: RngStream, mean: float, sd: float, size=None):

@@ -33,7 +33,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import power as power_mod
-from .distributions import RngStream, block_uniforms, normal_quantile
+from .distributions import RngStream, block_uniforms, borrowed_arena, normal_quantile
 from .errors import (ConfigurationError, DomainError, UndefinedResultError, finite,
                      integer_at_least, open_probability, positive, probability,
                      uint64_value)
@@ -200,13 +200,15 @@ def _simulate_chunk(config: SimConfig, start: int, stop: int) -> tuple[tuple, np
     wrong-sign count) and their 0.001-grid p histogram."""
     n = config.n_per_group
     m = stop - start
-    u = block_uniforms([RngStream(config.master_seed, index)
-                        for index in range(start, stop)], 2 * n)
-    z = normal_quantile(u)
-    control = config.true_mean_control + config.sd * z[:, :n]
-    treatment = config.true_mean_treatment + config.sd * z[:, n:]
-
-    _, _, p, diff, _ = batch_two_sample_t(control, treatment)
+    with borrowed_arena() as arena:
+        u = block_uniforms([RngStream(config.master_seed, index)
+                            for index in range(start, stop)], 2 * n, arena=arena)
+        z = normal_quantile(u, out=u, arena=arena)
+        z *= config.sd
+        control, treatment = z[:, :n], z[:, n:]
+        control += config.true_mean_control
+        treatment += config.true_mean_treatment
+        _, _, p, diff, _ = batch_two_sample_t(control, treatment, arena=arena)
 
     sig = p <= config.alpha
     true_sign = np.sign(config.true_diff)

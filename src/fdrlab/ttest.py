@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import regularized_incomplete_beta
+from .distributions import Arena, regularized_incomplete_beta
 from .errors import DegenerateDataError, DomainError, open_probability
 
 # Smallest positive p value ever reported; keeps p strictly above zero even
@@ -60,12 +60,13 @@ def two_sample_t(group1, group2) -> TestResult:
                       float(diff[0]), float(se[0]))
 
 
-def batch_two_sample_t(group1: np.ndarray, group2: np.ndarray):
+def batch_two_sample_t(group1: np.ndarray, group2: np.ndarray, *,
+                       arena: Arena | None = None):
     """Row-wise pooled t tests over matrices of shape (m, n1) and (m, n2).
 
     Returns arrays ``(t_stat, df, p_two_sided, observed_diff, se_diff)``
     where df is a shared scalar.  Rows with zero pooled variance raise
-    `DegenerateDataError`.
+    `DegenerateDataError`.  `arena` supplies the (m, n) scratch arrays.
     """
     x = np.asarray(group1, dtype=np.float64)
     y = np.asarray(group2, dtype=np.float64)
@@ -74,11 +75,12 @@ def batch_two_sample_t(group1: np.ndarray, group2: np.ndarray):
     if n1 < 2 or n2 < 2:
         raise DomainError("each group needs at least two observations")
     df = n1 + n2 - 2
+    arena = Arena() if arena is None else arena
 
     mean1 = x.mean(axis=1)
     mean2 = y.mean(axis=1)
-    ss1 = ((x - mean1[:, None]) ** 2).sum(axis=1)
-    ss2 = ((y - mean2[:, None]) ** 2).sum(axis=1)
+    ss1 = _sum_sq_dev(x, mean1, arena)
+    ss2 = _sum_sq_dev(y, mean2, arena)
     pooled_var = (ss1 + ss2) / df
     if np.any(pooled_var <= 0.0):
         raise DegenerateDataError(
@@ -93,6 +95,13 @@ def batch_two_sample_t(group1: np.ndarray, group2: np.ndarray):
     p = np.asarray(regularized_incomplete_beta(0.5 * df, 0.5, df / (df + t * t)))
     np.maximum(p, _P_FLOOR, out=p)
     return t, float(df), p, diff, se
+
+
+def _sum_sq_dev(x: np.ndarray, mean: np.ndarray, arena: Arena) -> np.ndarray:
+    """Row sums of (x - mean)**2, the deviations squared in scratch."""
+    with arena.scope():
+        dev = np.subtract(x, mean[:, None], out=arena.take(x.shape))
+        return np.multiply(dev, dev, out=dev).sum(axis=1)
 
 
 def significant(result: TestResult, alpha: float) -> bool:
