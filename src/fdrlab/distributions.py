@@ -55,19 +55,20 @@ def _ret(arr: np.ndarray, scalar: bool):
 # Scratch memory for the simulation kernels.
 # ---------------------------------------------------------------------------
 
-# Byte alignment of each array an arena hands out.
+# Byte alignment of each array an arena hands out, and the dtypes it holds.
 _ALIGN = 64
+_FLOAT64, _UINT64, _BOOL = np.dtype(np.float64), np.dtype(np.uint64), np.dtype(bool)
 
 
 class Arena:
     """Scratch memory that the kernels of one simulation chunk carve arrays from.
 
     `take` hands out typed views of one grow-only byte buffer, stacked one
-    after another, and `scope` gives back at the end of a block what the
-    block took.  The buffer therefore needs only the size of the largest
-    stage of a chunk, not the sum of all stages.  A request that does not
-    fit in the buffer gets a fresh array, and the arena records how many
-    bytes it would have needed; `reset` grows the buffer to that, so a
+    after another, and a ``with arena:`` block gives back at its end what
+    was taken inside it.  The buffer therefore needs only the size of the
+    largest stage of a chunk, not the sum of all stages.  A request that
+    does not fit in the buffer gets a fresh array, and the arena records how
+    many bytes it would have needed; `reset` grows the buffer to that, so a
     second chunk of the same shape allocates no large array.  A new
     `Arena()` thus allocates like plain numpy code, which is what the
     kernels use when they are called without one.
@@ -76,39 +77,39 @@ class Arena:
     until `reset`.
     """
 
-    __slots__ = ("_buf", "_top", "high")
+    __slots__ = ("_buf", "_top", "_marks", "high")
 
     def __init__(self):
         self._buf = np.empty(0, dtype=np.uint8)
         self._top = 0
+        self._marks = []
         self.high = 0       # most bytes in use at once since creation
 
     @property
     def nbytes(self) -> int:
         return self._buf.nbytes
 
-    def take(self, shape: tuple, dtype=np.float64) -> np.ndarray:
-        """An uninitialised array of `shape` and `dtype`."""
-        dtype = np.dtype(dtype)
+    def take(self, shape: tuple, dtype: np.dtype = _FLOAT64) -> np.ndarray:
+        """An uninitialised array of `shape` and `dtype` (a `np.dtype`)."""
         start = -(-self._top // _ALIGN) * _ALIGN
-        self._top = start + math.prod(shape) * dtype.itemsize
-        self.high = max(self.high, self._top)
-        if self._top > self._buf.nbytes:
+        self._top = end = start + math.prod(shape) * dtype.itemsize
+        if end > self.high:
+            self.high = end
+        if end > self._buf.nbytes:
             return np.empty(shape, dtype)
-        return self._buf[start:self._top].view(dtype).reshape(shape)
+        return np.ndarray(shape, dtype, self._buf, start)
 
-    @contextlib.contextmanager
-    def scope(self):
-        """Arrays taken inside the block are given back when it ends."""
-        top = self._top
-        try:
-            yield self
-        finally:
-            self._top = top
+    def __enter__(self) -> Arena:
+        self._marks.append(self._top)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._top = self._marks.pop()
 
     def reset(self) -> None:
         """Give back every array and grow the buffer to the high-water mark."""
         self._top = 0
+        self._marks.clear()
         if self._buf.nbytes < self.high:
             self._buf = np.empty(self.high, dtype=np.uint8)
 
@@ -138,8 +139,32 @@ def borrowed_arena():
                     _SPARE_ARENAS.append(arena)
 
 
+# Elements per pass of a kernel over a large array, so that a pass's scratch
+# arrays stay in a core's cache.
+_TILE = 2 ** 16
+
+
+def _row_tiles(shape: tuple):
+    """Index expressions that cut an array of `shape` along its first axis
+    into tiles of about _TILE elements, each at least one row."""
+    if not shape:
+        yield ...
+        return
+    step = max(1, _TILE // max(1, math.prod(shape[1:])))
+    for start in range(0, shape[0], step):
+        yield slice(start, start + step)
+
+
 def _horner(coeffs, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(...((c0*x + c1)*x + c2)...)*x + c_last into `out`, step by step."""
+    if x.ndim == 0:
+        # numpy scalars round alike and cost a fraction of a 0-d ufunc call
+        x = x[()]
+        acc = x * coeffs[0]
+        for c in coeffs[1:-1]:
+            acc = (acc + c) * x
+        out[()] = acc + coeffs[-1]
+        return out
     np.multiply(x, coeffs[0], out=out)
     for c in coeffs[1:-1]:
         out += c
@@ -185,34 +210,34 @@ _ERFC_MID_MAX = 4.0
 def _erfc(x: np.ndarray, out: np.ndarray, arena: Arena) -> np.ndarray:
     """Complementary error function into `out`, |rel err| ~ few ulps.
 
-    The low and middle formulas run over every element and a masked copy
-    picks the middle one where it applies; each element goes through the
-    same operations as if it had been gathered.  The far tail, y > 4, is
-    gathered, since simulated inputs reach it rarely.
+    The low and middle formulas each run over every element when any
+    element needs them, and a masked copy picks the middle one where both
+    ran; an element goes through the same operations as if it had been
+    gathered.  The far tail, y > 4, is gathered, since simulated inputs
+    reach it rarely.
     """
-    with arena.scope():
+    with arena:
         # erfc(y) < 5e-324 for y > 27.3; clamp to avoid pointless overflow
         # warnings
         y = np.abs(x, out=arena.take(x.shape))
         np.minimum(y, 30.0, out=y)
-        y_max = y.max() if y.size else 0.0
+        y_min, y_max = (y.min(), y.max()) if y.size else (0.0, 0.0)
 
-        with arena.scope():
-            z = np.multiply(y, y, out=arena.take(x.shape))
-            num = _horner(_ERF_NUM, z, arena.take(x.shape))
-            den = _horner(_ERF_DEN, z, arena.take(x.shape))
-            num *= y
-            num /= den
-            np.subtract(1.0, num, out=out)
+        if y_min <= _ERFC_LOW_MAX:
+            with arena:
+                z = np.multiply(y, y, out=arena.take(x.shape))
+                num = _horner(_ERF_NUM, z, arena.take(x.shape))
+                num *= y
+                num /= _horner(_ERF_DEN, z, arena.take(x.shape))
+                np.subtract(1.0, num, out=out)
 
-        if y_max > _ERFC_LOW_MAX:
-            with arena.scope():
-                mid = np.greater(y, _ERFC_LOW_MAX, out=arena.take(x.shape, bool))
-                ratio = _horner(_ERFC_NUM, y, arena.take(x.shape))
-                den = _horner(_ERFC_DEN, y, arena.take(x.shape))
-                ratio /= den
-                ratio *= _exp_neg_sq(y, den, arena)
-                np.copyto(out, ratio, where=mid)
+        if y_max > _ERFC_LOW_MAX and y_min <= _ERFC_MID_MAX:
+            with arena:
+                if y_min > _ERFC_LOW_MAX:
+                    _erfc_mid(y, out, arena)
+                else:
+                    mid = np.greater(y, _ERFC_LOW_MAX, out=arena.take(x.shape, _BOOL))
+                    np.copyto(out, _erfc_mid(y, arena.take(x.shape), arena), where=mid)
 
         if y_max > _ERFC_MID_MAX:
             high = y > _ERFC_MID_MAX
@@ -222,16 +247,31 @@ def _erfc(x: np.ndarray, out: np.ndarray, arena: Arena) -> np.ndarray:
             ratio /= _horner(_ERFC_TAIL_DEN, z, np.empty_like(z))
             out[high] = _exp_neg_sq(yh, np.empty_like(yh), Arena()) * (_INV_SQRT_PI - ratio) / yh
 
-        with arena.scope():
-            flip = np.less(x, 0.0, out=arena.take(x.shape, bool))
-            np.copyto(out, np.subtract(2.0, out, out=arena.take(x.shape)), where=flip)
+    # erfc(x) = 2 - erfc(-x)
+    if x.size and x.min() < 0.0:
+        with arena:
+            if x.max() < 0.0:
+                np.subtract(2.0, out, out=out)
+            else:
+                flip = np.less(x, 0.0, out=arena.take(x.shape, _BOOL))
+                np.copyto(out, np.subtract(2.0, out, out=arena.take(x.shape)), where=flip)
+    return out
+
+
+def _erfc_mid(y: np.ndarray, out: np.ndarray, arena: Arena) -> np.ndarray:
+    """The middle formula, 0.46875 < y <= 4, over every element of y."""
+    with arena:
+        _horner(_ERFC_NUM, y, out)
+        den = _horner(_ERFC_DEN, y, arena.take(y.shape))
+        out /= den
+        out *= _exp_neg_sq(y, den, arena)
     return out
 
 
 def _exp_neg_sq(y: np.ndarray, out: np.ndarray, arena: Arena) -> np.ndarray:
     # exp(-y*y) with the argument split on a 1/16 lattice, which keeps the
     # relative error of the product small deep in the tail (CALERF trick).
-    with arena.scope():
+    with arena:
         ysq = np.multiply(y, 16.0, out=arena.take(y.shape))
         np.floor(ysq, out=ysq)
         ysq /= 16.0
@@ -273,18 +313,21 @@ _ACK_P_LOW = 0.02425
 
 def _acklam(p: np.ndarray, out: np.ndarray, arena: Arena) -> np.ndarray:
     """Acklam's approximation into `out`: the central formula over every
-    element, then the two tails, gathered, over it."""
-    with arena.scope():
-        q = np.subtract(p, 0.5, out=arena.take(p.shape))
-        r = np.multiply(q, q, out=arena.take(p.shape))
-        _horner(_ACK_A, r, out)
-        out *= q
-        out /= _horner(_ACK_B, r, q)
+    element unless all lie in one tail, then each tail, gathered, over it."""
+    p_min, p_max = p.min(), p.max()
+    with arena:
+        if p_max >= _ACK_P_LOW and p_min <= 1.0 - _ACK_P_LOW:
+            q = np.subtract(p, 0.5, out=arena.take(p.shape))
+            r = np.multiply(q, q, out=arena.take(p.shape))
+            _horner(_ACK_A, r, out)
+            out *= q
+            out /= _horner(_ACK_B, r, q)
 
-        tail = arena.take(p.shape, bool)
-        for sign, in_tail, bound in ((-1.0, np.less, _ACK_P_LOW),
-                                     (1.0, np.greater, 1.0 - _ACK_P_LOW)):
-            if np.any(in_tail(p, bound, out=tail)):
+        for sign, in_tail, bound, present in (
+                (-1.0, np.less, _ACK_P_LOW, p_min < _ACK_P_LOW),
+                (1.0, np.greater, 1.0 - _ACK_P_LOW, p_max > 1.0 - _ACK_P_LOW)):
+            if present:
+                tail = in_tail(p, bound, out=arena.take(p.shape, _BOOL))
                 tail_p = p[tail] if sign < 0.0 else 1.0 - p[tail]
                 q = np.sqrt(-2.0 * np.log(tail_p))
                 num = _horner(_ACK_C, q, np.empty_like(q))
@@ -300,7 +343,7 @@ _HALLEY_MAX = 37.0
 def _halley(x: np.ndarray, p: np.ndarray, out: np.ndarray, arena: Arena) -> np.ndarray:
     """One Halley step from x toward the quantile of p, into `out`, which
     may be `p` itself."""
-    with arena.scope():
+    with arena:
         # x / -sqrt(2) rounds to exactly -(x / sqrt(2)): rounding is symmetric
         half_x = np.divide(x, -_SQRT2, out=arena.take(x.shape))
         err = _erfc(half_x, arena.take(x.shape), arena)
@@ -331,15 +374,17 @@ def normal_quantile(p, *, out=None, arena=None):
         raise DomainError("p must lie strictly inside (0, 1)")
     out = np.empty_like(arr) if out is None else out
     arena = Arena() if arena is None else arena
-    with arena.scope():
-        x = _acklam(arr, arena.take(arr.shape), arena)
-        if not arr.size or -_HALLEY_MAX < x.min() and x.max() < _HALLEY_MAX:
-            _halley(x, arr, out, arena)
-        else:
-            refine = np.abs(x) < _HALLEY_MAX
-            xr = x[refine]
-            x[refine] = _halley(xr, arr[refine], xr, Arena())
-            np.copyto(out, x)
+    for rows in _row_tiles(arr.shape):
+        p_tile, out_tile = arr[rows], out[rows]
+        with arena:
+            x = _acklam(p_tile, arena.take(p_tile.shape), arena)
+            if not x.size or -_HALLEY_MAX < x.min() and x.max() < _HALLEY_MAX:
+                _halley(x, p_tile, out_tile, arena)
+            else:
+                refine = np.abs(x) < _HALLEY_MAX
+                xr = x[refine]
+                x[refine] = _halley(xr, p_tile[refine], xr, Arena())
+                np.copyto(out_tile, x)
     return _ret(out, scalar)
 
 
@@ -665,7 +710,7 @@ def _philox(k0: np.ndarray, k1: np.ndarray, blocks: int, arena: Arena) -> list[n
     column vectors and bumped in place: the four output words, each of
     shape (len(k0), blocks), taken from `arena`."""
     shape = (len(k0), blocks)
-    x0, x1, x2, x3, hi0, hi1, a, b, c = (arena.take(shape, np.uint64) for _ in range(9))
+    x0, x1, x2, x3, hi0, hi1, a, b, c = (arena.take(shape, _UINT64) for _ in range(9))
     x0[...] = np.arange(1, blocks + 1, dtype=np.uint64)
     for word in (x1, x2, x3):
         word.fill(0)
@@ -705,14 +750,15 @@ def block_uniforms(streams, size: int, *, arena: Arena | None = None) -> np.ndar
     arena = Arena() if arena is None else arena
     rows, blocks = len(streams), -(-size // 4)
     u = arena.take((rows, blocks, 4))
-    with arena.scope():
-        k0 = np.array([s.master_seed for s in streams], dtype=np.uint64)[:, None]
-        k1 = np.array([s.stream_index for s in streams], dtype=np.uint64)[:, None]
-        # numpy's double: the top 53 bits times 2**-53, word j of each block
-        # being draw 4 * block + j
-        for j, word in enumerate(_philox(k0, k1, blocks, arena)):
-            word >>= np.uint64(11)
-            np.multiply(word, 2.0 ** -53, out=u[:, :, j])
+    k0 = np.array([s.master_seed for s in streams], dtype=np.uint64)[:, None]
+    k1 = np.array([s.stream_index for s in streams], dtype=np.uint64)[:, None]
+    for tile in _row_tiles((rows, blocks)):
+        with arena:
+            # numpy's double: the top 53 bits times 2**-53, word j of each
+            # block being draw 4 * block + j
+            for j, word in enumerate(_philox(k0[tile], k1[tile], blocks, arena)):
+                word >>= np.uint64(11)
+                np.multiply(word, 2.0 ** -53, out=u[tile, :, j])
     # then the stream's midpoint shift and clamp
     u = u.reshape(rows, 4 * blocks)
     u += _U_SHIFT

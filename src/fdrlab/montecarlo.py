@@ -121,13 +121,17 @@ class SimConfig:
 
     def __post_init__(self):
         error = ConfigurationError
-        integer_at_least(self.n_per_group, 2, "n_per_group", error)
-        integer_at_least(self.n_sims, 1, "n_sims", error)
+        # The integer fields keep the rules' Python ints, so a numpy integer
+        # given here still serialises to JSON; the floats stay as given.
+        object.__setattr__(self, "n_per_group",
+                           integer_at_least(self.n_per_group, 2, "n_per_group", error))
+        object.__setattr__(self, "n_sims", integer_at_least(self.n_sims, 1, "n_sims", error))
         finite(self.true_mean_control, "true_mean_control", error)
         finite(self.true_mean_treatment, "true_mean_treatment", error)
         positive(self.sd, "sd", error)
         open_probability(self.alpha, "alpha", error)
-        uint64_value(self.master_seed, "master_seed", error)
+        object.__setattr__(self, "master_seed",
+                           uint64_value(self.master_seed, "master_seed", error))
 
     @property
     def true_diff(self) -> float:

@@ -99,7 +99,7 @@ def batch_two_sample_t(group1: np.ndarray, group2: np.ndarray, *,
 
 def _sum_sq_dev(x: np.ndarray, mean: np.ndarray, arena: Arena) -> np.ndarray:
     """Row sums of (x - mean)**2, the deviations squared in scratch."""
-    with arena.scope():
+    with arena:
         dev = np.subtract(x, mean[:, None], out=arena.take(x.shape))
         return np.multiply(dev, dev, out=dev).sum(axis=1)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from fdrlab.distributions import (
     RngStream,
@@ -98,6 +99,25 @@ class TestNormalQuantile:
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(DomainError):
                 normal_quantile(bad)
+
+    def test_out_may_be_the_input(self):
+        p = np.array([[2.0 ** -54, 0.01, 0.3], [0.5, 0.99, 1.0 - 2.0 ** -53]])
+        expected = normal_quantile(p)
+        assert normal_quantile(p, out=p) is p
+        assert np.array_equal(p, expected)
+
+
+_UNIT_LATTICE = st.floats(2.0 ** -54, 1.0 - 2.0 ** -53)
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_UNIT_LATTICE, st.lists(_UNIT_LATTICE, min_size=1, max_size=64))
+    def test_quantile_roundtrip_within_claim(self, p, ps):
+        # normal_quantile's docstring: much better than 1e-10
+        assert abs(normal_cdf(normal_quantile(p)) - p) < 1e-10
+        ps = np.array(ps)
+        assert np.max(np.abs(normal_cdf(normal_quantile(ps)) - ps)) < 1e-10
 
 
 class TestIncompleteBeta:

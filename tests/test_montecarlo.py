@@ -5,15 +5,18 @@ inflation statistic against a truncated-normal quadrature oracle.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from fdrlab.distributions import RngStream, sample_normal
-from fdrlab.errors import ConfigurationError, DomainError, UndefinedResultError
-from fdrlab import montecarlo
+from fdrlab.errors import (ConfigurationError, DegenerateDataError, DomainError,
+                           UndefinedResultError)
+from fdrlab import distributions, montecarlo
 from fdrlab.montecarlo import (
     MixtureSpec,
     SimConfig,
@@ -81,6 +84,47 @@ def test_batch_digests_pinned_across_n_seeds_and_threads():
     assert wrong == []
 
 
+def test_warm_chunk_allocates_no_large_array():
+    cfg = SimConfig(n_per_group=16, true_mean_treatment=1.0, n_sims=4096, master_seed=3)
+    first = montecarlo._simulate_chunk(cfg, 0, 4096)
+    tracemalloc.start()
+    try:
+        second = montecarlo._simulate_chunk(cfg, 0, 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first[0] == second[0] and np.array_equal(first[1], second[1])
+    # the arrays of 4096 x 32 doubles are 1 MiB each
+    assert peak < 2 ** 20
+
+
+def test_spare_arenas_stay_within_their_caps(monkeypatch):
+    spares = []
+    monkeypatch.setattr(distributions, "_SPARE_ARENAS", spares)
+    monkeypatch.setattr(distributions, "_MAX_SPARE_ARENAS", 2)
+    cfg = SimConfig(n_per_group=3, n_sims=20 * montecarlo._CHUNK, master_seed=4)
+    run_batch(cfg, threads=8)
+    assert 1 <= len(spares) <= 2
+    # an arena grown past the byte cap is dropped when it is returned
+    spares.clear()
+    monkeypatch.setattr(distributions, "_ARENA_MAX_BYTES", 2 ** 16)
+    montecarlo._simulate_chunk(cfg, 0, montecarlo._CHUNK)
+    assert spares == []
+
+
+def test_chunk_that_raises_returns_its_arena(monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise DegenerateDataError("stand-in failure")
+
+    spares = []
+    monkeypatch.setattr(distributions, "_SPARE_ARENAS", spares)
+    monkeypatch.setattr(montecarlo, "batch_two_sample_t", degenerate)
+    cfg = SimConfig(n_per_group=5, n_sims=100)
+    with pytest.raises(DegenerateDataError):
+        montecarlo._simulate_chunk(cfg, 0, 100)
+    assert len(spares) == 1 and spares[0].nbytes >= spares[0].high > 0
+
+
 def test_thread_cap_is_checked_before_any_thread(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
@@ -134,6 +178,21 @@ def test_engine_matches_sample_normal_plus_two_sample_t():
     assert summary.count_significant == n_sig
     assert summary.mean_diff_all == pytest.approx(np.mean(diffs), rel=1e-12)
     assert summary.sd_diff_all == pytest.approx(np.std(diffs, ddof=1), rel=1e-10)
+
+
+_BATCH_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+class TestProperties:
+    @_BATCH_PROPERTY
+    @given(st.integers(2, 40), st.integers(1, 3000), st.integers(0, 2 ** 64 - 1),
+           st.floats(-2.0, 2.0), st.integers(1, 999))
+    def test_histogram_totals_and_prefix_counts(self, n, n_sims, seed, delta, k):
+        alpha = k / 1000.0
+        summary = run_batch(SimConfig(n_per_group=n, true_mean_treatment=delta,
+                                      n_sims=n_sims, alpha=alpha, master_seed=seed))
+        assert int(summary.p_histogram.sum()) == n_sims
+        assert summary.count_in_interval(0.0, alpha) == summary.count_significant
 
 
 def test_histogram_totals_and_interval_identity(null16):
@@ -355,3 +414,10 @@ def test_config_validation():
     for seed in (-1, 1.5, 2 ** 64):
         with pytest.raises(ConfigurationError):
             SimConfig(n_per_group=4, master_seed=seed)
+
+
+def test_numpy_integers_in_config_serialise_as_ints():
+    plain = run_batch(SimConfig(n_per_group=4, n_sims=100, master_seed=9))
+    numpy_ints = run_batch(SimConfig(n_per_group=np.int64(4), n_sims=np.int64(100),
+                                     master_seed=np.uint64(9)))
+    assert numpy_ints.to_json() == plain.to_json()
