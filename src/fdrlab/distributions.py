@@ -13,6 +13,20 @@ matching kind.  Random draws come from `RngStream`, a counter-based Philox
 substream keyed by (master_seed, stream_index): the same pair always yields
 the same sequence, on any platform and under any threading.  `block_uniforms`
 draws many fresh streams at once with a numpy Philox4x64-10, bit for bit.
+
+The simulation's kernels, `block_uniforms`, `normal_quantile` and
+`ttest.batch_two_sample_t`, take an optional `Arena`: one grow-only byte
+buffer from which they carve every large intermediate, with ``out=`` ufuncs
+that apply each element's operations in the same order as the plain numpy
+expressions, so the bits do not change.  They pass over tiles of about
+2**16 elements, so an arena holds a chunk's uniforms (4096 * 2n doubles,
+n rounded up to an even number) plus a few MiB of scratch, whatever n is.
+A running chunk borrows one arena from a lock-guarded stack of spares
+(`borrowed_arena`) and returns it when it ends, so from the second chunk
+of a shape on, nothing large is allocated.  The stack keeps at most
+``os.cpu_count()`` arenas and drops one whose buffer would pass 64 MiB
+(n above about 950).  Without an arena the kernels allocate, as plain
+numpy code does.
 """
 
 from __future__ import annotations
@@ -37,12 +51,16 @@ _U_SHIFT = 2.0 ** -54
 _U_MAX = 1.0 - 2.0 ** -53
 
 
+def _asarray(x) -> tuple[np.ndarray, bool]:
+    """`x` as a float64 ndarray, and whether it was a scalar."""
+    scalar = np.isscalar(x) or (hasattr(x, "ndim") and x.ndim == 0)
+    return np.asarray(x, dtype=np.float64), scalar
+
+
 def _asarray_checked(x, name: str) -> tuple[np.ndarray, bool]:
     """Coerce to float64 ndarray, rejecting non-finite entries."""
-    scalar = np.isscalar(x) or (hasattr(x, "ndim") and x.ndim == 0)
-    arr = np.asarray(x, dtype=np.float64)
-    # min and max are NaN or infinite when any entry is, and allocate nothing
-    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+    arr, scalar = _asarray(x)
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite")
     return arr, scalar
 
@@ -146,11 +164,14 @@ _TILE = 2 ** 16
 
 def _row_tiles(shape: tuple):
     """Index expressions that cut an array of `shape` along its first axis
-    into tiles of about _TILE elements, each at least one row."""
+    into tiles of about _TILE elements, each at least one row; none for an
+    empty array."""
     if not shape:
         yield ...
         return
-    step = max(1, _TILE // max(1, math.prod(shape[1:])))
+    if not math.prod(shape):
+        return
+    step = max(1, _TILE // math.prod(shape[1:]))
     for start in range(0, shape[0], step):
         yield slice(start, start + step)
 
@@ -245,7 +266,8 @@ def _erfc(x: np.ndarray, out: np.ndarray, arena: Arena) -> np.ndarray:
             z = 1.0 / (yh * yh)
             ratio = z * _horner(_ERFC_TAIL_NUM, z, np.empty_like(z))
             ratio /= _horner(_ERFC_TAIL_DEN, z, np.empty_like(z))
-            out[high] = _exp_neg_sq(yh, np.empty_like(yh), Arena()) * (_INV_SQRT_PI - ratio) / yh
+            tail = _exp_neg_sq(yh, np.empty_like(yh), arena)
+            out[high] = tail * (_INV_SQRT_PI - ratio) / yh
 
     # erfc(x) = 2 - erfc(-x)
     if x.size and x.min() < 0.0:
@@ -369,8 +391,10 @@ def normal_quantile(p, *, out=None, arena=None):
     `out` receives the result and may be `p` itself; `arena` supplies the
     scratch arrays (see `Arena`).
     """
-    arr, scalar = _asarray_checked(p, "p")
+    arr, scalar = _asarray(p)
+    # min and max are NaN when any entry is, so NaN fails this test too
     if arr.size and not (0.0 < arr.min() and arr.max() < 1.0):
+        _asarray_checked(arr, "p")
         raise DomainError("p must lie strictly inside (0, 1)")
     out = np.empty_like(arr) if out is None else out
     arena = Arena() if arena is None else arena
@@ -378,12 +402,12 @@ def normal_quantile(p, *, out=None, arena=None):
         p_tile, out_tile = arr[rows], out[rows]
         with arena:
             x = _acklam(p_tile, arena.take(p_tile.shape), arena)
-            if not x.size or -_HALLEY_MAX < x.min() and x.max() < _HALLEY_MAX:
+            if -_HALLEY_MAX < x.min() and x.max() < _HALLEY_MAX:
                 _halley(x, p_tile, out_tile, arena)
             else:
                 refine = np.abs(x) < _HALLEY_MAX
                 xr = x[refine]
-                x[refine] = _halley(xr, p_tile[refine], xr, Arena())
+                x[refine] = _halley(xr, p_tile[refine], xr, arena)
                 np.copyto(out_tile, x)
     return _ret(out, scalar)
 
@@ -705,7 +729,8 @@ def _mulhi(m: np.uint64, x: np.ndarray, out: np.ndarray, a: np.ndarray,
     return out
 
 
-def _philox(k0: np.ndarray, k1: np.ndarray, blocks: int, arena: Arena) -> list[np.ndarray]:
+def _philox(k0: np.ndarray, k1: np.ndarray, blocks: int,
+            arena: Arena) -> list[np.ndarray]:
     """Philox4x64-10 of counters 1..blocks under the keys (k0, k1), given as
     column vectors and bumped in place: the four output words, each of
     shape (len(k0), blocks), taken from `arena`."""

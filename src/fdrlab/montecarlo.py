@@ -8,8 +8,11 @@ aggregates are merged strictly in chunk order.  A chunk builds one stream
 per experiment (cheap: a stream builds its numpy generator only on its first
 own `uniforms` call) and draws all of them with one vectorised
 `block_uniforms` call, which gives the bits each stream's `uniforms` would.
-Chunk ranges are generated lazily and at most 2 * threads chunks are in
-flight, so memory does not grow with the batch size.
+While it runs, a chunk holds one scratch arena from `distributions`, which
+its uniforms, normal quantiles and t tests are computed in; the arena goes
+back to a small stack of spares for the next chunk, which then allocates no
+large array.  Chunk ranges are generated lazily and at most 2 * threads
+chunks are in flight, so memory does not grow with the batch size.
 
 P values are binned on a fixed 0.001 grid at collection time (bin k covers
 the half-open cell (k/1000, (k+1)/1000]), so a batch has flat memory cost
@@ -125,7 +128,8 @@ class SimConfig:
         # given here still serialises to JSON; the floats stay as given.
         object.__setattr__(self, "n_per_group",
                            integer_at_least(self.n_per_group, 2, "n_per_group", error))
-        object.__setattr__(self, "n_sims", integer_at_least(self.n_sims, 1, "n_sims", error))
+        object.__setattr__(self, "n_sims",
+                           integer_at_least(self.n_sims, 1, "n_sims", error))
         finite(self.true_mean_control, "true_mean_control", error)
         finite(self.true_mean_treatment, "true_mean_treatment", error)
         positive(self.sd, "sd", error)
