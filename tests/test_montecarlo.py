@@ -5,6 +5,8 @@ inflation statistic against a truncated-normal quadrature oracle.
 
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -110,6 +112,45 @@ def test_spare_arenas_stay_within_their_caps(monkeypatch):
     monkeypatch.setattr(distributions, "_ARENA_MAX_BYTES", 2 ** 16)
     montecarlo._simulate_chunk(cfg, 0, montecarlo._CHUNK)
     assert spares == []
+
+
+def test_spare_stack_under_contending_threads(monkeypatch):
+    # more threads than cores and a short switch interval: each arena must
+    # be held by one thread at a time, and the stack must stay within its
+    # cap with no arena on it twice
+    monkeypatch.setattr(distributions, "_SPARE_ARENAS", [])
+    monkeypatch.setattr(distributions, "_MAX_SPARE_ARENAS", 3)
+    held, clashes, errors = set(), [], []
+    lock = threading.Lock()
+
+    def borrow_repeatedly():
+        try:
+            for _ in range(300):
+                with distributions.borrowed_arena() as arena:
+                    with lock:
+                        if id(arena) in held:
+                            clashes.append(id(arena))
+                        held.add(id(arena))
+                    arena.take((8,))
+                    with lock:
+                        held.discard(id(arena))
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=borrow_repeatedly) for _ in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert errors == [] and clashes == []
+    spares = distributions._SPARE_ARENAS
+    assert 1 <= len(spares) <= 3 and len({id(a) for a in spares}) == len(spares)
 
 
 def test_chunk_that_raises_returns_its_arena(monkeypatch):
