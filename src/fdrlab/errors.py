@@ -86,6 +86,9 @@ def uint64_value(value, name: str = "seed", error: type = DomainError) -> int:
     The rule for seeds and stream indices, shared by `RngStream`,
     `SimConfig`, ``--seed`` and FDRLAB_SEED.
     """
+    # the common case first: `RngStream` checks two plain ints per stream
+    if type(value) is int and 0 <= value < _UINT64_END:
+        return value
     if not isinstance(value, _INTEGER):
         raise error(f"{name} must be an integer; got {value!r}")
     if not 0 <= int(value) < _UINT64_END:

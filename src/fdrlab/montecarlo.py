@@ -50,6 +50,12 @@ DEFAULT_MASTER_SEED = 12345
 # bits of the moment sums.
 _CHUNK = 4096
 
+# Version of the simulated stream: the uniforms, the normal quantile, the
+# t test and p value, and the chunk layout above.  Within a version a seeded
+# output is bit for bit reproducible; any change to those bits bumps it.
+# Version 2 replaced the normal quantile (Acklam + Halley) with AS 241.
+STREAM_VERSION = 2
+
 _N_BINS = 1000
 _BIN_EDGES = np.arange(_N_BINS + 1) / 1000.0
 
@@ -196,6 +202,7 @@ class SimSummary:
             "count_wrong_sign_significant": self.count_wrong_sign_significant,
             "p_histogram_bin_width": 0.001,
             "p_histogram": self.p_histogram.tolist(),
+            "stream_version": STREAM_VERSION,
         }
 
     def to_json(self, indent: int = 2) -> str:

@@ -15,7 +15,8 @@ from fdrlab.cli import build_parser, main
 
 
 _SCALARS = ("count_significant", "fraction_significant", "mean_diff_all",
-            "sd_diff_all", "mean_diff_significant", "count_wrong_sign_significant")
+            "sd_diff_all", "mean_diff_significant", "count_wrong_sign_significant",
+            "stream_version")
 
 
 def run_cli(capsys, *argv):

@@ -47,3 +47,18 @@ def test_uint64_value_is_shared_with_distributions():
     for value in (-1, 2 ** 64, 1.5):
         with pytest.raises(ConfigurationError):
             uint64_value(value, "seed", ConfigurationError)
+
+
+def test_uint64_value_plain_ints_and_the_rest():
+    # plain ints in range return at once; everything else takes the rule
+    for value in (0, 12345, 2 ** 64 - 1):
+        assert uint64_value(value) is value
+    for value, expected in ((True, 1), (np.int64(5), 5), (np.uint64(2 ** 63), 2 ** 63)):
+        result = uint64_value(value)
+        assert type(result) is int and result == expected
+    with pytest.raises(DomainError, match=r"^seed must fit in an unsigned 64-bit integer; got -1$"):
+        uint64_value(-1)
+    with pytest.raises(DomainError, match=r"^seed must fit in an unsigned 64-bit integer; got 18446744073709551616$"):
+        uint64_value(2 ** 64)
+    with pytest.raises(DomainError, match=r"^seed must be an integer; got 1.5$"):
+        uint64_value(1.5)

@@ -5,6 +5,7 @@ quantile, and full-size Monte Carlo batches.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -61,6 +62,17 @@ def test_t_quantile_roundtrip():
         for p in (0.6, 0.975, 0.9995, 0.25):
             q = student_t_quantile(p, df)
             assert student_t_cdf(q, df) == pytest.approx(p, abs=1e-12)
+
+
+def test_t_quantile_at_large_df_against_mpmath():
+    # solve_n(0.8, 0.01) reads its critical value here; the log beta of the
+    # incomplete beta put it 4.3e-11 high
+    df = 313956.0
+    with mpmath.workdps(40):
+        exact = mpmath.findroot(
+            lambda t: mpmath.betainc(df / 2, 0.5, 0, df / (df + t * t), regularized=True) / 2
+            - mpmath.mpf(0.025), 1.96)
+        assert abs(float((student_t_quantile(0.975, df) - exact) / exact)) < 1e-11
 
 
 def test_t_quantile_domain_and_far_tail():
