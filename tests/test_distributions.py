@@ -26,6 +26,7 @@ from fdrlab.distributions import (
     student_t_cdf,
 )
 from fdrlab.errors import DomainError
+from fdrlab.montecarlo import STREAM_VERSION
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -473,20 +474,25 @@ class TestStreamBits:
 class TestKernelBits:
     # SHA-256 of the float64 bytes of `normal_quantile` and `normal_cdf` over
     # fixed inputs.  The quantile inputs hold the uniform lattice's extremes,
-    # points on both sides of each Acklam tail boundary, 1e-300 (whose
-    # Acklam value lies past the Halley step's cut-off) and 10,000 seeded
-    # uniforms; the CDF grid reaches all three erfc branches and the clamp
-    # at |x| = 30.  Unlike `TestStreamBits` these run through numpy's exp
-    # and log, so they pin this platform's float kernels as well.
+    # 1e-300, points on both sides of stream version 1's tail boundaries at
+    # 0.02425 and 0.97575, and 10,000 seeded uniforms; its digests are keyed
+    # by STREAM_VERSION, as in tests/test_montecarlo.py.  The CDF grid
+    # reaches all three erfc branches and the clamp at |x| = 30.  Unlike
+    # `TestStreamBits` these run through numpy's exp and log, so they pin
+    # this platform's float kernels as well.
     QUANTILE_INPUTS = (2.0 ** -54, 1.0 - 2.0 ** -53, 1e-300, 1e-10, 0.001, 0.02,
                        0.02424, 0.02425, 0.02426, 0.5, 0.97574, 0.97576, 0.98,
                        0.999, 1.0 - 1e-10)
-    QUANTILE = "73298e25c6c6f6db5e5dac142b486ee8962d3b0f791592298e45bbe5895369e6"
+    QUANTILE = {
+        1: "73298e25c6c6f6db5e5dac142b486ee8962d3b0f791592298e45bbe5895369e6",
+        2: "639a9ffbd1b02511df3b4118751b3cc08648b852cd9c82e930f8d32d80650647",
+    }
     CDF = "901a0c8c1dc23c4f091839a16640ae516c911c657effc0ea65b240a398398d1c"
 
     def test_normal_quantile_digest(self):
         p = np.concatenate((self.QUANTILE_INPUTS, RngStream(2024, 0).uniforms(10_000)))
-        assert hashlib.sha256(normal_quantile(p).tobytes()).hexdigest() == self.QUANTILE
+        assert (hashlib.sha256(normal_quantile(p).tobytes()).hexdigest()
+                == self.QUANTILE[STREAM_VERSION])
 
     def test_normal_cdf_digest(self):
         x = np.linspace(-40.0, 40.0, 80001)
