@@ -51,9 +51,9 @@ DEFAULT_MASTER_SEED = 12345
 _CHUNK = 4096
 
 # Version of the simulated stream: the uniforms, the normal quantile, the
-# t test and p value, and the chunk layout above.  Within a version a seeded
-# output is bit for bit reproducible; any change to those bits bumps it.
-# Version 2 replaced the normal quantile (Acklam + Halley) with AS 241.
+# t test and its p value, and the chunk layout above.  Within a version a
+# seeded output is bit for bit reproducible; a change to any of those bits
+# bumps it, and CHANGES.md records what each version changed.
 STREAM_VERSION = 2
 
 _N_BINS = 1000
