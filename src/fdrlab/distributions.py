@@ -517,10 +517,11 @@ def _betacf_scalar(a: float, b: float, x: float) -> float:
 # on this side, and within 3.5e-15 by the direct sum below it.
 _LBETA_STIRLING_MIN = 8.0
 # Coefficients of the Stirling remainder in powers of 1/z^2 (algdiv's c0..c5,
-# fitted for z >= 8), in Horner order.
-_STIRLING_DEL = (-.165322962780713e-02, .837308034031215e-03,
-                 -.595202931351870e-03, .793650666825390e-03,
-                 -.277777777760991e-02, .833333333333333e-01)
+# fitted for z >= 8).
+_STIRLING_C0, _STIRLING_C1, _STIRLING_C2 = (
+    .833333333333333e-01, -.277777777760991e-02, .793650666825390e-03)
+_STIRLING_C3, _STIRLING_C4, _STIRLING_C5 = (
+    -.595202931351870e-03, .837308034031215e-03, -.165322962780713e-02)
 # log 2 in two parts, the first with trailing zero bits so that k * _LN2_HI
 # is exact for any exponent k.
 _LN2_HI = 6.93147180369123816490e-01
@@ -535,17 +536,19 @@ def _lbeta(a: float, b: float) -> float:
     # lgamma(large) - lgamma(large + small) = w - u - small * (log(large) - 1),
     # with u = (large + small - 1/2) * log1p(small / large) and w the
     # difference of the Stirling remainders, sum_k c_k (1 - x^(2k+1)) / large^(2k+1)
-    # at x = large / (large + small), via 1 - x^n = (1 - x) * s_n.
+    # at x = large / (large + small), via 1 - x^n = (1 - x) * s_n and
+    # s_n = 1 + x + ... + x^(n-1).
     h = small / large
     x = 1.0 / (1.0 + h)
     x2 = x * x
-    s = [1.0]                                   # s_1, s_3, ..., s_11
-    for _ in range(5):
-        s.append(1.0 + (x + x2 * s[-1]))
+    s3 = 1.0 + (x + x2)
+    s5 = 1.0 + (x + x2 * s3)
+    s7 = 1.0 + (x + x2 * s5)
+    s9 = 1.0 + (x + x2 * s7)
+    s11 = 1.0 + (x + x2 * s9)
     t = (1.0 / large) ** 2
-    w = _STIRLING_DEL[0] * s[5]
-    for c, s_n in zip(_STIRLING_DEL[1:], s[4::-1]):
-        w = w * t + c * s_n
+    w = (((((_STIRLING_C5 * s11 * t + _STIRLING_C4 * s9) * t + _STIRLING_C3 * s7) * t
+           + _STIRLING_C2 * s5) * t + _STIRLING_C1 * s3) * t + _STIRLING_C0)
     w *= (h / (1.0 + h)) / large
     u = (large + (small - 0.5)) * math.log1p(h)
     # log(large) = k log 2 + log(m), m in [1/sqrt(2), sqrt(2)), so that
