@@ -365,7 +365,14 @@ def _as241(p: np.ndarray, out: np.ndarray, arena: Arena) -> np.ndarray:
         scratch = np.abs(q, out=arena.take(p.shape))
         tail = np.greater(scratch, _AS241_Q_CENTRAL, out=arena.take(p.shape, _BOOL))
         n_tail = int(np.count_nonzero(tail))
-        if n_tail:
+        # the tails need q and s = min(p, 1 - p), where 1 - p is 0.5 - q
+        # exactly for p > 1/2
+        if n_tail == p.size:
+            # all in the tails, as a single value often is: nothing to
+            # gather, and `_horner` takes its scalar route on 0-d input
+            q_tail = q
+            s_tail = np.minimum(p, np.subtract(0.5, q, out=scratch), out=scratch)
+        elif n_tail:
             if p.flags.c_contiguous:
                 flat_p = p.reshape(-1)
             else:       # compress reads a flat view: copy a strided tile first
@@ -373,7 +380,6 @@ def _as241(p: np.ndarray, out: np.ndarray, arena: Arena) -> np.ndarray:
                 flat_p = scratch.reshape(-1)
             flat_tail = tail.reshape(-1)
             q_tail = np.compress(flat_tail, q.reshape(-1), out=arena.take((n_tail,)))
-            # min(p, 1 - p), where 1 - p is 0.5 - q exactly for p > 1/2
             s_tail = np.compress(flat_tail, flat_p, out=arena.take((n_tail,)))
             np.minimum(s_tail, np.subtract(0.5, q_tail, out=arena.take((n_tail,))), out=s_tail)
 
@@ -386,9 +392,12 @@ def _as241(p: np.ndarray, out: np.ndarray, arena: Arena) -> np.ndarray:
 
         if n_tail:
             x_tail = _as241_tail(s_tail, arena)
-            lower = np.less(q_tail, 0.0, out=arena.take((n_tail,), _BOOL))
+            lower = np.less(q_tail, 0.0, out=arena.take(q_tail.shape, _BOOL))
             np.negative(x_tail, out=x_tail, where=lower)
-            out[tail] = x_tail
+            if n_tail == p.size:
+                np.copyto(out, x_tail)
+            else:
+                out[tail] = x_tail
     return out
 
 

@@ -140,6 +140,10 @@ class TestNormalQuantileAccuracy:
         array = normal_quantile(self.INPUTS)
         scalar = np.array([normal_quantile(p) for p in self.INPUTS])
         assert np.array_equal(array.view(np.uint64), scalar.view(np.uint64))
+        # an array wholly in the tails is not gathered
+        tails = np.abs(self.INPUTS - 0.5) > 0.425
+        assert np.array_equal(normal_quantile(self.INPUTS[tails]).view(np.uint64),
+                              scalar[tails].view(np.uint64))
 
     def test_antisymmetric_where_one_minus_p_is_exact(self):
         # both sides form the same r: 0.180625 - q^2 in the centre, and
