@@ -13,7 +13,8 @@ All distribution functions accept a float or a numpy array and return the
 matching kind.  Random draws come from `RngStream`, a counter-based Philox
 substream keyed by (master_seed, stream_index): the same pair always yields
 the same sequence, on any platform and under any threading.  `block_uniforms`
-draws many fresh streams at once with a numpy Philox4x64-10, bit for bit.
+draws the first uniforms of many streams at once with a numpy
+Philox4x64-10, bit for bit, and leaves the streams themselves untouched.
 
 The simulation's kernels, `block_uniforms`, `normal_quantile` and
 `ttest.batch_two_sample_t`, take an optional `Arena`: one grow-only byte
@@ -177,8 +178,10 @@ def _row_tiles(shape: tuple):
         yield slice(start, start + step)
 
 
-def _horner(coeffs, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(...((c0*x + c1)*x + c2)...)*x + c_last into `out`, step by step."""
+def _horner(coeffs, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(...((c0*x + c1)*x + c2)...)*x + c_last into `out` (a new array if
+    None), step by step."""
+    out = np.empty_like(x) if out is None else out
     if x.ndim == 0:
         # numpy scalars round alike and cost a fraction of a 0-d ufunc call
         x = x[()]
@@ -229,94 +232,63 @@ _ERFC_LOW_MAX = 0.46875
 _ERFC_MID_MAX = 4.0
 
 
-def _erfc(x: np.ndarray, out: np.ndarray, arena: Arena) -> np.ndarray:
-    """Complementary error function into `out`, |rel err| ~ few ulps; its
-    only caller is `normal_cdf`.
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """Complementary error function, |rel err| ~ few ulps; its only caller
+    is `normal_cdf`.
 
-    The low and middle formulas each run over every element when any
-    element needs them, and a masked copy picks the middle one where both
-    ran; an element goes through the same operations as if it had been
-    gathered.  The far tail, y > 4, is gathered, since simulated inputs
-    reach it rarely.
+    y = |x| falls in three regions, y <= 0.46875, 0.46875 < y <= 4 and
+    y > 4.  Each region's elements are gathered (unless they are all of y)
+    and only that region's formula runs on them; then x < 0 takes
+    erfc(x) = 2 - erfc(-x).
     """
-    with arena:
-        # erfc(y) < 5e-324 for y > 27.3; clamp to avoid pointless overflow
-        # warnings
-        y = np.abs(x, out=arena.take(x.shape))
-        np.minimum(y, 30.0, out=y)
-        y_min, y_max = (y.min(), y.max()) if y.size else (0.0, 0.0)
-
-        if y_min <= _ERFC_LOW_MAX:
-            with arena:
-                z = np.multiply(y, y, out=arena.take(x.shape))
-                num = _horner(_ERF_NUM, z, arena.take(x.shape))
-                num *= y
-                num /= _horner(_ERF_DEN, z, arena.take(x.shape))
-                np.subtract(1.0, num, out=out)
-
-        if y_max > _ERFC_LOW_MAX and y_min <= _ERFC_MID_MAX:
-            with arena:
-                if y_min > _ERFC_LOW_MAX:
-                    _erfc_mid(y, out, arena)
-                else:
-                    mid = np.greater(y, _ERFC_LOW_MAX, out=arena.take(x.shape, _BOOL))
-                    np.copyto(out, _erfc_mid(y, arena.take(x.shape), arena), where=mid)
-
-        if y_max > _ERFC_MID_MAX:
-            high = y > _ERFC_MID_MAX
-            yh = y[high]
-            z = 1.0 / (yh * yh)
-            ratio = z * _horner(_ERFC_TAIL_NUM, z, np.empty_like(z))
-            ratio /= _horner(_ERFC_TAIL_DEN, z, np.empty_like(z))
-            tail = _exp_neg_sq(yh, np.empty_like(yh), arena)
-            out[high] = tail * (_INV_SQRT_PI - ratio) / yh
-
-    # erfc(x) = 2 - erfc(-x)
-    if x.size and x.min() < 0.0:
-        with arena:
-            if x.max() < 0.0:
-                np.subtract(2.0, out, out=out)
-            else:
-                flip = np.less(x, 0.0, out=arena.take(x.shape, _BOOL))
-                np.copyto(out, np.subtract(2.0, out, out=arena.take(x.shape)), where=flip)
-    return out
+    # erfc(y) < 5e-324 for y > 27.3; clamp to avoid pointless overflow warnings
+    y = np.minimum(np.abs(x), 30.0)
+    low = y <= _ERFC_LOW_MAX
+    high = y > _ERFC_MID_MAX
+    out = np.empty_like(y)
+    for region, formula in ((low, _erfc_small_y), (~(low | high), _erfc_medium_y),
+                            (high, _erfc_large_y)):
+        if region.all():
+            out[...] = formula(y)
+        elif region.any():
+            out[region] = formula(y[region])
+    return np.subtract(2.0, out, out=out, where=x < 0.0)
 
 
-def _erfc_mid(y: np.ndarray, out: np.ndarray, arena: Arena) -> np.ndarray:
-    """The middle formula, 0.46875 < y <= 4, over every element of y."""
-    with arena:
-        _horner(_ERFC_NUM, y, out)
-        den = _horner(_ERFC_DEN, y, arena.take(y.shape))
-        out /= den
-        out *= _exp_neg_sq(y, den, arena)
-    return out
+def _erfc_small_y(y: np.ndarray) -> np.ndarray:
+    """1 - erf(y) for y <= 0.46875, erf(y) a rational in y**2 times y."""
+    z = y * y
+    return 1.0 - _horner(_ERF_NUM, z) * y / _horner(_ERF_DEN, z)
 
 
-def _exp_neg_sq(y: np.ndarray, out: np.ndarray, arena: Arena) -> np.ndarray:
+def _erfc_medium_y(y: np.ndarray) -> np.ndarray:
+    """erfc(y) for 0.46875 < y <= 4: a rational in y times exp(-y**2)."""
+    return _horner(_ERFC_NUM, y) / _horner(_ERFC_DEN, y) * _exp_neg_sq(y)
+
+
+def _erfc_large_y(y: np.ndarray) -> np.ndarray:
+    """erfc(y) for y > 4: exp(-y**2) / y times 1/sqrt(pi) less a rational
+    in 1/y**2."""
+    z = 1.0 / (y * y)
+    ratio = z * _horner(_ERFC_TAIL_NUM, z) / _horner(_ERFC_TAIL_DEN, z)
+    return _exp_neg_sq(y) * (_INV_SQRT_PI - ratio) / y
+
+
+def _exp_neg_sq(y: np.ndarray) -> np.ndarray:
     # exp(-y*y) with the argument split on a 1/16 lattice, which keeps the
     # relative error of the product small deep in the tail (CALERF trick).
-    with arena:
-        ysq = np.multiply(y, 16.0, out=arena.take(y.shape))
-        np.floor(ysq, out=ysq)
-        ysq /= 16.0
-        np.negative(ysq, out=out)
-        out *= ysq
-        np.exp(out, out=out)                          # exp(-ysq * ysq)
-        rest = np.subtract(y, ysq, out=arena.take(y.shape))
-        np.negative(rest, out=rest)
-        ysq += y
-        rest *= ysq
-        out *= np.exp(rest, out=rest)                 # exp(-(y - ysq) * (y + ysq))
-    return out
+    ysq = np.floor(y * 16.0) / 16.0
+    return np.exp(-ysq * ysq) * np.exp(-(y - ysq) * (y + ysq))
 
 
 def normal_cdf(x):
-    """Standard normal CDF, absolute error well below 1e-12.
+    """Standard normal CDF, absolute error well below 1e-12, as
+    0.5 * erfc(-x / sqrt(2)) (see `_erfc`).
 
     Accepts a float or an ndarray; non-finite input raises ``DomainError``.
     """
     arr, scalar = _asarray_checked(x, "x")
-    return _ret(0.5 * _erfc(-arr / _SQRT2, np.empty_like(arr), Arena()), scalar)
+    return _ret(0.5 * _erfc(-arr / _SQRT2), scalar)
 
 
 # Wichura's AS 241, PPND16 (Appl. Statist. 37:477-484, 1988): three rational
@@ -743,30 +715,25 @@ class RngStream:
     transform in `sample_normal` can never see 0 or 1.
 
     Construction only validates and stores the key; numpy's ``Philox`` is
-    built on the first `uniforms` call.  A fresh stream may instead be drawn
-    by `block_uniforms` together with many others, after which `uniforms`
-    continues with the draws that follow the block's.
+    built on the first `uniforms` call.  `block_uniforms` draws the first
+    uniforms of many keys at once without touching their streams, so a
+    stream's own `uniforms` always starts at its first draw.
     """
 
-    __slots__ = ("master_seed", "stream_index", "_gen", "_block_drawn")
+    __slots__ = ("master_seed", "stream_index", "_gen")
 
     def __init__(self, master_seed: int, stream_index: int = 0):
         self.master_seed = uint64_value(master_seed, "master_seed")
         self.stream_index = uint64_value(stream_index, "stream_index")
         self._gen = None
-        self._block_drawn = 0   # uniforms taken by `block_uniforms`
 
     def __repr__(self):
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
-            # Philox makes 4 outputs per counter value, starting at counter 1.
-            full, part = divmod(self._block_drawn, 4)
             key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
-            bitgen = np.random.Philox(key=key, counter=full)
-            bitgen.random_raw(part)
-            self._gen = np.random.Generator(bitgen)
+            self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._gen
 
     def uniforms(self, size=None):
@@ -839,20 +806,16 @@ def _philox(k0: np.ndarray, k1: np.ndarray, blocks: int,
 
 
 def block_uniforms(streams, size: int, *, arena: Arena | None = None) -> np.ndarray:
-    """The first `size` uniforms of each of `streams`, drawn all at once.
+    """The first `size` uniforms of each of `streams`' keys, drawn all at once.
 
     Runs Philox4x64-10 over every stream's key and counters 1..ceil(size/4)
     in one vectorised pass.  Row i of the (len(streams), size) result is
-    bit-identical to ``streams[i].uniforms(size)`` on a fresh stream, and the
-    streams are advanced past the draws, so a later `uniforms` call continues
-    where the row ends.  Every stream must be fresh: one that has already
-    drawn raises ``DomainError``.  With an `arena` the result is a view into
-    it (see `Arena`).
+    bit-identical to ``RngStream(s.master_seed, s.stream_index).uniforms(size)``
+    for ``s = streams[i]``: only the keys are read, so what a stream has drawn
+    before does not matter, and the streams are left as they were.  With an
+    `arena` the result is a view into it (see `Arena`).
     """
     size = integer_at_least(size, 0, "size")
-    for stream in streams:
-        if stream._gen is not None or stream._block_drawn:
-            raise DomainError(f"{stream!r} has already drawn")
     arena = Arena() if arena is None else arena
     rows, blocks = len(streams), -(-size // 4)
     u = arena.take((rows, blocks, 4))
@@ -869,8 +832,6 @@ def block_uniforms(streams, size: int, *, arena: Arena | None = None) -> np.ndar
     u = u.reshape(rows, 4 * blocks)
     u += _U_SHIFT
     np.minimum(u, _U_MAX, out=u)
-    for stream in streams:
-        stream._block_drawn = size
     return u[:, :size]
 
 

@@ -65,11 +65,14 @@ def batch_two_sample_t(group1: np.ndarray, group2: np.ndarray, *,
     """Row-wise pooled t tests over matrices of shape (m, n1) and (m, n2).
 
     Returns arrays ``(t_stat, df, p_two_sided, observed_diff, se_diff)``
-    where df is a shared scalar.  Rows with zero pooled variance raise
+    where df is a shared scalar.  Inputs that are not both 2-d with equal
+    row counts raise `DomainError`; rows with zero pooled variance raise
     `DegenerateDataError`.  `arena` supplies the (m, n) scratch arrays.
     """
     x = np.asarray(group1, dtype=np.float64)
     y = np.asarray(group2, dtype=np.float64)
+    if x.ndim != 2 or y.ndim != 2 or len(x) != len(y):
+        raise DomainError("group1 and group2 must be 2-d with the same number of rows")
     n1 = x.shape[1]
     n2 = y.shape[1]
     if n1 < 2 or n2 < 2:

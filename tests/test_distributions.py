@@ -72,6 +72,26 @@ class TestNormalCdf:
         with pytest.raises(DomainError):
             normal_cdf(math.inf)
 
+    # +-0, the smallest subnormals, a grid past the clamp at |x| = 30 sqrt(2),
+    # and each erfc boundary |x| = b sqrt(2), b in (0.46875, 4, 30), with its
+    # three neighbouring doubles on either side
+    BOUNDARIES = np.array([b * math.sqrt(2.0) for b in (0.46875, 4.0, 30.0)])
+    INPUTS = np.concatenate((
+        [0.0, -0.0, 5e-324, -5e-324], np.linspace(-45.0, 45.0, 4001),
+        *(edge + np.arange(-3, 4) * np.spacing(edge)
+          for edge in np.concatenate((BOUNDARIES, -BOUNDARIES)))))
+
+    def test_scalar_path_matches_array_path(self):
+        array = normal_cdf(self.INPUTS)
+        scalar = np.array([normal_cdf(x) for x in self.INPUTS])
+        assert np.array_equal(array.view(np.uint64), scalar.view(np.uint64))
+        # an array wholly in one erfc region is not gathered
+        y = np.abs(self.INPUTS) / math.sqrt(2.0)
+        for region in (y <= 0.46875, (y > 0.46875) & (y <= 4.0), y > 4.0):
+            assert 0 < np.count_nonzero(region) < len(y)
+            assert np.array_equal(normal_cdf(self.INPUTS[region]).view(np.uint64),
+                                  scalar[region].view(np.uint64))
+
 
 class TestNormalQuantile:
     def test_median(self):
@@ -509,29 +529,23 @@ class TestBlockUniforms:
 
     @pytest.mark.parametrize("size", [*range(1, 10), 32, 100])
     def test_bit_equal_to_scalar_streams(self, size):
-        block = block_uniforms([RngStream(s, i) for s, i in self.KEYS], size)
         scalar = np.array([RngStream(s, i).uniforms(size) for s, i in self.KEYS])
-        assert block.shape == (len(self.KEYS), size)
-        assert np.array_equal(block.view(np.uint64), scalar.view(np.uint64))
-
-    @pytest.mark.parametrize("size", [1, 3, 4, 5, 8, 32])
-    def test_stream_continues_after_block(self, size):
-        for seed, index in self.KEYS:
-            stream = RngStream(seed, index)
-            block_uniforms([stream], size)
-            whole = RngStream(seed, index).uniforms(size + 9)
-            rest = np.array([stream.uniforms(), *stream.uniforms(8)])
-            assert np.array_equal(rest.view(np.uint64), whole[size:].view(np.uint64))
-
-    def test_drawn_stream_rejected(self):
-        used = RngStream(5, 1)
-        used.uniforms(2)
-        with pytest.raises(DomainError):
-            block_uniforms([RngStream(5, 0), used], 4)
-        blocked = RngStream(5, 2)
-        block_uniforms([blocked], 4)
-        with pytest.raises(DomainError):
-            block_uniforms([blocked], 4)
+        fresh = [RngStream(s, i) for s, i in self.KEYS]
+        # only the keys are read: streams that have drawn give the same rows
+        drawn = [RngStream(s, i) for s, i in self.KEYS]
+        for k, stream in enumerate(drawn):
+            stream.uniforms(k + 1)
+        for streams in (fresh, drawn):
+            block = block_uniforms(streams, size)
+            assert block.shape == (len(self.KEYS), size)
+            assert np.array_equal(block.view(np.uint64), scalar.view(np.uint64))
+        # and the streams go on as if no block had been drawn
+        for k, (seed, index) in enumerate(self.KEYS):
+            whole = RngStream(seed, index).uniforms(size + k + 10)
+            assert np.array_equal(fresh[k].uniforms(size).view(np.uint64),
+                                  whole[:size].view(np.uint64))
+            assert np.array_equal(drawn[k].uniforms(9).view(np.uint64),
+                                  whole[k + 1:k + 10].view(np.uint64))
 
     def test_size_validation(self):
         for size in (-1, 2.0, None):

@@ -128,6 +128,12 @@ def test_degenerate_and_domain_errors():
         two_sample_t([1.0, math.nan], [1.0, 2.0])
     with pytest.raises(DomainError):
         two_sample_t([[1.0, 2.0]], [1.0, 2.0])
+    # the batch form takes two 2-d arrays with one row per experiment
+    rows = np.arange(12.0).reshape(3, 4)
+    for group1, group2 in ((rows[0], rows[1]), (rows, rows[:2]), (rows, rows[0]),
+                           (rows[None], rows[None])):
+        with pytest.raises(DomainError):
+            batch_two_sample_t(group1, group2)
 
 
 class TestSignificant:
