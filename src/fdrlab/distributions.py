@@ -16,28 +16,15 @@ the same sequence, on any platform and under any threading.  `block_uniforms`
 draws the first uniforms of many streams at once with a numpy
 Philox4x64-10, bit for bit, and leaves the streams themselves untouched.
 
-The simulation's kernels, `block_uniforms`, `normal_quantile` and
-`ttest.batch_two_sample_t`, take an optional `Arena`: one grow-only byte
-buffer from which they carve every large intermediate, with ``out=`` ufuncs
-that apply each element's operations in the same order as the plain numpy
-expressions, so the bits do not change.  They pass over tiles of about
-2**16 elements, so an arena holds a chunk's uniforms (4096 * 2n doubles,
-n rounded up to an even number) plus a few MiB of scratch, whatever n is.
-A running chunk borrows one arena from a lock-guarded stack of spares
-(`borrowed_arena`) and returns it when it ends, so from the second chunk
-of a shape on, nothing large is allocated.  The stack keeps at most
-``os.cpu_count()`` arenas and drops one whose buffer would pass 64 MiB
-(n above about 950).  Without an arena the kernels allocate, as plain
-numpy code does.
+The simulation's kernels here, `block_uniforms` and `normal_quantile`,
+take their scratch arrays from numpy one row tile of about 2**16 elements
+at a time.  Beside a chunk's uniforms (4096 * 2n doubles, n rounded up to
+an even number) they hold a few MiB of scratch, whatever n is.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import math
-import os
-import threading
 
 import numpy as np
 
@@ -69,94 +56,6 @@ def _asarray_checked(x, name: str) -> tuple[np.ndarray, bool]:
 
 def _ret(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
-
-
-# ---------------------------------------------------------------------------
-# Scratch memory for the simulation kernels.
-# ---------------------------------------------------------------------------
-
-# Byte alignment of each array an arena hands out, and the dtypes it holds.
-_ALIGN = 64
-_FLOAT64, _UINT64, _BOOL = np.dtype(np.float64), np.dtype(np.uint64), np.dtype(bool)
-
-
-class Arena:
-    """Scratch memory that the kernels of one simulation chunk carve arrays from.
-
-    `take` hands out typed views of one grow-only byte buffer, stacked one
-    after another, and a ``with arena:`` block gives back at its end what
-    was taken inside it.  The buffer therefore needs only the size of the
-    largest stage of a chunk, not the sum of all stages.  A request that
-    does not fit in the buffer gets a fresh array, and the arena records how
-    many bytes it would have needed; `reset` grows the buffer to that, so a
-    second chunk of the same shape allocates no large array.  A new
-    `Arena()` thus allocates like plain numpy code, which is what the
-    kernels use when they are called without one.
-
-    An arena serves one thread at a time.  Views it handed out are valid
-    until `reset`.
-    """
-
-    __slots__ = ("_buf", "_top", "_marks", "high")
-
-    def __init__(self):
-        self._buf = np.empty(0, dtype=np.uint8)
-        self._top = 0
-        self._marks = []
-        self.high = 0       # most bytes in use at once since creation
-
-    @property
-    def nbytes(self) -> int:
-        return self._buf.nbytes
-
-    def take(self, shape: tuple, dtype: np.dtype = _FLOAT64) -> np.ndarray:
-        """An uninitialised array of `shape` and `dtype` (a `np.dtype`)."""
-        start = -(-self._top // _ALIGN) * _ALIGN
-        self._top = end = start + math.prod(shape) * dtype.itemsize
-        if end > self.high:
-            self.high = end
-        if end > self._buf.nbytes:
-            return np.empty(shape, dtype)
-        return np.ndarray(shape, dtype, self._buf, start)
-
-    def __enter__(self) -> Arena:
-        self._marks.append(self._top)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._top = self._marks.pop()
-
-    def reset(self) -> None:
-        """Give back every array and grow the buffer to the high-water mark."""
-        self._top = 0
-        self._marks.clear()
-        if self._buf.nbytes < self.high:
-            self._buf = np.empty(self.high, dtype=np.uint8)
-
-
-# Arenas not in use, for the next chunk to take (see `borrowed_arena`): at
-# most one per core, and none past _ARENA_MAX_BYTES, so a run at a large n
-# does not leave its buffers behind.
-_SPARE_ARENAS: list[Arena] = []
-_SPARES_LOCK = threading.Lock()
-_MAX_SPARE_ARENAS = os.cpu_count() or 1
-_ARENA_MAX_BYTES = 64 * 2 ** 20
-
-
-@contextlib.contextmanager
-def borrowed_arena():
-    """An arena from the spare stack (or a new one), returned to it at the
-    end of the block whether the block raised or not."""
-    with _SPARES_LOCK:
-        arena = _SPARE_ARENAS.pop() if _SPARE_ARENAS else Arena()
-    try:
-        yield arena
-    finally:
-        if arena.high <= _ARENA_MAX_BYTES:
-            arena.reset()
-            with _SPARES_LOCK:
-                if len(_SPARE_ARENAS) < _MAX_SPARE_ARENAS:
-                    _SPARE_ARENAS.append(arena)
 
 
 # Elements per pass of a kernel over a large array, so that a pass's scratch
@@ -326,72 +225,64 @@ _AS241_R_MID = 1.6
 _AS241_R_FAR = 5.0
 
 
-def _as241(p: np.ndarray, out: np.ndarray, arena: Arena) -> np.ndarray:
+def _as241(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     """AS 241 into `out`, which may be `p` itself: the central formula over
     every element unless all lie in the tails, then the tails, gathered.
 
-    Every tail `p` is read before `out` is written.
+    Every tail `p` is read before `out` is written.  The steps run in place
+    over two scratch arrays of `p`'s shape, whose `out=` also keeps them
+    arrays for a 0-d `p`.
     """
-    with arena:
-        q = np.subtract(p, 0.5, out=arena.take(p.shape))
-        scratch = np.abs(q, out=arena.take(p.shape))
-        tail = np.greater(scratch, _AS241_Q_CENTRAL, out=arena.take(p.shape, _BOOL))
-        n_tail = int(np.count_nonzero(tail))
-        # the tails need q and s = min(p, 1 - p), where 1 - p is 0.5 - q
-        # exactly for p > 1/2
+    q = np.subtract(p, 0.5, out=np.empty_like(p))
+    scratch = np.abs(q, out=np.empty_like(p))
+    tail = scratch > _AS241_Q_CENTRAL
+    n_tail = int(np.count_nonzero(tail))
+    # the tails need q and s = min(p, 1 - p), where 1 - p is 0.5 - q
+    # exactly for p > 1/2
+    if n_tail == p.size:
+        # all in the tails, as a single value often is: nothing to gather,
+        # and `_horner` takes its scalar route on 0-d input
+        q_tail = q
+        s_tail = np.minimum(p, np.subtract(0.5, q, out=scratch), out=scratch)
+    elif n_tail:
+        q_tail = q[tail]
+        s_tail = np.minimum(p[tail], 0.5 - q_tail)
+
+    if n_tail < p.size:
+        r = np.multiply(q, q, out=scratch)
+        np.subtract(_AS241_R_CENTRAL, r, out=r)
+        num = _horner(_AS241_A, r)
+        num *= q
+        np.divide(num, _horner(_AS241_B, r, q), out=out)
+
+    if n_tail:
+        x_tail = _as241_tail(s_tail)
+        np.negative(x_tail, out=x_tail, where=q_tail < 0.0)
         if n_tail == p.size:
-            # all in the tails, as a single value often is: nothing to
-            # gather, and `_horner` takes its scalar route on 0-d input
-            q_tail = q
-            s_tail = np.minimum(p, np.subtract(0.5, q, out=scratch), out=scratch)
-        elif n_tail:
-            if p.flags.c_contiguous:
-                flat_p = p.reshape(-1)
-            else:       # compress reads a flat view: copy a strided tile first
-                np.copyto(scratch, p)
-                flat_p = scratch.reshape(-1)
-            flat_tail = tail.reshape(-1)
-            q_tail = np.compress(flat_tail, q.reshape(-1), out=arena.take((n_tail,)))
-            s_tail = np.compress(flat_tail, flat_p, out=arena.take((n_tail,)))
-            np.minimum(s_tail, np.subtract(0.5, q_tail, out=arena.take((n_tail,))), out=s_tail)
-
-        if n_tail < p.size:
-            r = np.multiply(q, q, out=scratch)
-            np.subtract(_AS241_R_CENTRAL, r, out=r)
-            num = _horner(_AS241_A, r, arena.take(p.shape))
-            num *= q
-            np.divide(num, _horner(_AS241_B, r, q), out=out)
-
-        if n_tail:
-            x_tail = _as241_tail(s_tail, arena)
-            lower = np.less(q_tail, 0.0, out=arena.take(q_tail.shape, _BOOL))
-            np.negative(x_tail, out=x_tail, where=lower)
-            if n_tail == p.size:
-                np.copyto(out, x_tail)
-            else:
-                out[tail] = x_tail
+            np.copyto(out, x_tail)
+        else:
+            out[tail] = x_tail
     return out
 
 
-def _as241_tail(s: np.ndarray, arena: Arena) -> np.ndarray:
-    """The tail formulas at s = min(p, 1 - p) < 0.075, as |x|, taken from
-    `arena`; `s` is overwritten."""
+def _as241_tail(s: np.ndarray) -> np.ndarray:
+    """The tail formulas at s = min(p, 1 - p) < 0.075, as |x|; `s` is
+    overwritten."""
     r = np.log(s, out=s)
     np.negative(r, out=r)
     np.sqrt(r, out=r)
-    shifted = np.subtract(r, _AS241_R_MID, out=arena.take(r.shape))
-    x = _horner(_AS241_C, shifted, arena.take(r.shape))
-    x /= _horner(_AS241_D, shifted, arena.take(r.shape))
+    shifted = r - _AS241_R_MID
+    x = _horner(_AS241_C, shifted)
+    x /= _horner(_AS241_D, shifted)
     if r.max() > _AS241_R_FAR:
         # p below about 1.4e-11: rare among simulated draws, so gathered
         far = r > _AS241_R_FAR
         rf = r[far] - _AS241_R_FAR
-        x[far] = (_horner(_AS241_E, rf, np.empty_like(rf))
-                  / _horner(_AS241_F, rf, np.empty_like(rf)))
+        x[far] = _horner(_AS241_E, rf) / _horner(_AS241_F, rf)
     return x
 
 
-def normal_quantile(p, *, out=None, arena=None):
+def normal_quantile(p, *, out=None):
     """Inverse of `normal_cdf` on (0, 1).
 
     Wichura's AS 241 (PPND16), whose relative error is below 1e-15 over
@@ -400,8 +291,9 @@ def normal_quantile(p, *, out=None, arena=None):
     -normal_quantile(p)`` holds exactly for p in [0.5, 0.75] and
     [0.925, 1), where both sides form the same r.
 
-    `out` receives the result and may be `p` itself; `arena` supplies the
-    scratch arrays (see `Arena`).
+    `out` receives the result and may be `p` itself.  An array is taken in
+    row tiles of about 2**16 elements, so the scratch numpy allocates for
+    it stays a few tiles in size.
     """
     arr, scalar = _asarray(p)
     # min and max are NaN when any entry is, so NaN fails this test too
@@ -409,9 +301,8 @@ def normal_quantile(p, *, out=None, arena=None):
         _asarray_checked(arr, "p")
         raise DomainError("p must lie strictly inside (0, 1)")
     out = np.empty_like(arr) if out is None else out
-    arena = Arena() if arena is None else arena
     for rows in _row_tiles(arr.shape):
-        _as241(arr[rows], out[rows], arena)
+        _as241(arr[rows], out[rows])
     return _ret(out, scalar)
 
 
@@ -625,7 +516,6 @@ def noncentral_t_cdf(t, df, ncp):
     return _ret(out, scalar)
 
 
-@functools.cache
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and weights of the Gauss-Legendre rule on [-1, 1].
 
@@ -657,6 +547,8 @@ _NCT_PANELS = 24
 # Offsets, in units of 1/t on the W scale, of the extra panel edges placed
 # around the step of Phi(t*W - delta) at W = delta/t.
 _NCT_STEP_EDGES = np.array([-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0])
+# Nodes and weights of each panel's 48-point rule, built once at import.
+_NCT_NODES, _NCT_WEIGHTS = _gauss_legendre(48)
 
 
 def _log_w_window(df: float) -> tuple[float, float]:
@@ -689,10 +581,9 @@ def _nct_cdf_quadrature(t: np.ndarray, df: float, delta: float) -> np.ndarray:
     # A repeated edge makes a panel of width 0, which weighs nothing.
     edges = np.sort(np.concatenate((edges, steps[(steps > lo) & (steps < hi)])))
 
-    nodes, weights = _gauss_legendre(48)
     half = 0.5 * np.diff(edges)[:, None]
-    y = (half * nodes + (edges[:-1, None] + half)).ravel()
-    mass = (half * weights).ravel() * np.exp(df * (y - 0.5 * np.expm1(2.0 * y)))
+    y = (half * _NCT_NODES + (edges[:-1, None] + half)).ravel()
+    mass = (half * _NCT_WEIGHTS).ravel() * np.exp(df * (y - 0.5 * np.expm1(2.0 * y)))
     phi = normal_cdf(t[:, None] * np.exp(y) - delta)
     return np.clip(phi @ mass / mass.sum(), 0.0, 1.0)
 
@@ -777,16 +668,15 @@ def _mulhi(m: np.uint64, x: np.ndarray, out: np.ndarray, a: np.ndarray,
     return out
 
 
-def _philox(k0: np.ndarray, k1: np.ndarray, blocks: int,
-            arena: Arena) -> list[np.ndarray]:
+def _philox(k0: np.ndarray, k1: np.ndarray, blocks: int) -> list[np.ndarray]:
     """Philox4x64-10 of counters 1..blocks under the keys (k0, k1), given as
-    column vectors and bumped in place: the four output words, each of
-    shape (len(k0), blocks), taken from `arena`."""
+    column vectors and bumped in place: the four output words, each a new
+    array of shape (len(k0), blocks).  The rounds run in place over nine
+    arrays of that shape."""
     shape = (len(k0), blocks)
-    x0, x1, x2, x3, hi0, hi1, a, b, c = (arena.take(shape, _UINT64) for _ in range(9))
-    x0[...] = np.arange(1, blocks + 1, dtype=np.uint64)
-    for word in (x1, x2, x3):
-        word.fill(0)
+    x0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), (len(k0), 1))
+    x1, x2, x3 = (np.zeros(shape, np.uint64) for _ in range(3))
+    hi0, hi1, a, b, c = (np.empty(shape, np.uint64) for _ in range(5))
     m0, m1 = _PHILOX_M
     for rnd in range(_PHILOX_ROUNDS):
         if rnd:
@@ -805,29 +695,29 @@ def _philox(k0: np.ndarray, k1: np.ndarray, blocks: int,
     return [x0, x1, x2, x3]
 
 
-def block_uniforms(streams, size: int, *, arena: Arena | None = None) -> np.ndarray:
+def block_uniforms(streams, size: int) -> np.ndarray:
     """The first `size` uniforms of each of `streams`' keys, drawn all at once.
 
     Runs Philox4x64-10 over every stream's key and counters 1..ceil(size/4)
-    in one vectorised pass.  Row i of the (len(streams), size) result is
-    bit-identical to ``RngStream(s.master_seed, s.stream_index).uniforms(size)``
-    for ``s = streams[i]``: only the keys are read, so what a stream has drawn
-    before does not matter, and the streams are left as they were.  With an
-    `arena` the result is a view into it (see `Arena`).
+    in one vectorised pass per row tile of about 2**16 blocks, so its
+    scratch stays nine such tiles.  Row i of the (len(streams), size)
+    result is bit-identical to
+    ``RngStream(s.master_seed, s.stream_index).uniforms(size)`` for
+    ``s = streams[i]``: only the keys are read, so what a stream has drawn
+    before does not matter, and the streams are left as they were.  The
+    result is a view of an array of ceil(size/4) * 4 columns.
     """
     size = integer_at_least(size, 0, "size")
-    arena = Arena() if arena is None else arena
     rows, blocks = len(streams), -(-size // 4)
-    u = arena.take((rows, blocks, 4))
+    u = np.empty((rows, blocks, 4))
     k0 = np.array([s.master_seed for s in streams], dtype=np.uint64)[:, None]
     k1 = np.array([s.stream_index for s in streams], dtype=np.uint64)[:, None]
     for tile in _row_tiles((rows, blocks)):
-        with arena:
-            # numpy's double: the top 53 bits times 2**-53, word j of each
-            # block being draw 4 * block + j
-            for j, word in enumerate(_philox(k0[tile], k1[tile], blocks, arena)):
-                word >>= np.uint64(11)
-                np.multiply(word, 2.0 ** -53, out=u[tile, :, j])
+        # numpy's double: the top 53 bits times 2**-53, word j of each
+        # block being draw 4 * block + j
+        for j, word in enumerate(_philox(k0[tile], k1[tile], blocks)):
+            word >>= np.uint64(11)
+            np.multiply(word, 2.0 ** -53, out=u[tile, :, j])
     # then the stream's midpoint shift and clamp
     u = u.reshape(rows, 4 * blocks)
     u += _U_SHIFT

@@ -158,15 +158,12 @@ def _tree_breakdown(pos_limb: float, pos_rate: float,
         npv = math.nan
         fnr = math.nan
 
-    if scale != 1.0:
-        present = scale * pos_limb
-        absent = scale - present
-        tp = present * pos_rate
-        fn = present - tp
-        fp = absent * neg_limb_rate
-        tn = absent - fp
-    else:
-        tp, fn, fp, tn = tp_p, fn_p, fp_p, tn_p
+    present = scale * pos_limb
+    absent = scale - present
+    tp = present * pos_rate
+    fn = present - tp
+    fp = absent * neg_limb_rate
+    tn = absent - fp
     return Breakdown(true_pos=tp, false_pos=fp, true_neg=tn, false_neg=fn,
                      fdr=fdr, ppv=ppv, npv=npv, fnr_among_negatives=fnr)
 

@@ -8,11 +8,12 @@ aggregates are merged strictly in chunk order.  A chunk builds one stream
 per experiment (cheap: a stream builds its numpy generator only on its first
 own `uniforms` call) and draws all of them with one vectorised
 `block_uniforms` call, which gives the bits each stream's `uniforms` would.
-While it runs, a chunk holds one scratch arena from `distributions`, which
-its uniforms, normal quantiles and t tests are computed in; the arena goes
-back to a small stack of spares for the next chunk, which then allocates no
-large array.  Chunk ranges are generated lazily and at most 2 * threads
-chunks are in flight, so memory does not grow with the batch size.
+A chunk's uniforms, normal quantiles and t tests allocate their arrays
+from numpy as they go; the uniform and quantile kernels work in tiles of
+about 2**16 elements, so beside its uniforms a chunk holds a few MiB of
+scratch whatever n is.  Chunk ranges are generated lazily and at most
+2 * threads chunks are in flight, so memory does not grow with the batch
+size.
 
 P values are binned on a fixed 0.001 grid at collection time (bin k covers
 the half-open cell (k/1000, (k+1)/1000]), so a batch has flat memory cost
@@ -36,7 +37,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import power as power_mod
-from .distributions import RngStream, block_uniforms, borrowed_arena, normal_quantile
+from .distributions import RngStream, block_uniforms, normal_quantile
 from .errors import (ConfigurationError, DomainError, UndefinedResultError, finite,
                      integer_at_least, open_probability, positive, probability,
                      uint64_value)
@@ -215,15 +216,14 @@ def _simulate_chunk(config: SimConfig, start: int, stop: int) -> tuple[tuple, np
     wrong-sign count) and their 0.001-grid p histogram."""
     n = config.n_per_group
     m = stop - start
-    with borrowed_arena() as arena:
-        u = block_uniforms([RngStream(config.master_seed, index)
-                            for index in range(start, stop)], 2 * n, arena=arena)
-        z = normal_quantile(u, out=u, arena=arena)
-        z *= config.sd
-        control, treatment = z[:, :n], z[:, n:]
-        control += config.true_mean_control
-        treatment += config.true_mean_treatment
-        _, _, p, diff, _ = batch_two_sample_t(control, treatment, arena=arena)
+    u = block_uniforms([RngStream(config.master_seed, index)
+                        for index in range(start, stop)], 2 * n)
+    z = normal_quantile(u, out=u)
+    z *= config.sd
+    control, treatment = z[:, :n], z[:, n:]
+    control += config.true_mean_control
+    treatment += config.true_mean_treatment
+    _, _, p, diff, _ = batch_two_sample_t(control, treatment)
 
     sig = p <= config.alpha
     true_sign = np.sign(config.true_diff)
@@ -239,11 +239,11 @@ def _simulate_chunk(config: SimConfig, start: int, stop: int) -> tuple[tuple, np
     return sums, hist
 
 
-def _partials(config: SimConfig, threads: int | None) -> Iterator[tuple[tuple, np.ndarray]]:
+def _partials(config: SimConfig, threads: int) -> Iterator[tuple[tuple, np.ndarray]]:
     """Chunk partials in chunk order, with at most 2 * threads in flight."""
     ranges = ((start, min(start + _CHUNK, config.n_sims))
               for start in range(0, config.n_sims, _CHUNK))
-    if threads is None or threads <= 1 or config.n_sims <= _CHUNK:
+    if threads <= 1 or config.n_sims <= _CHUNK:
         for a, b in ranges:
             yield _simulate_chunk(config, a, b)
         return

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Arena, regularized_incomplete_beta
+from .distributions import regularized_incomplete_beta
 from .errors import DegenerateDataError, DomainError, open_probability
 
 # Smallest positive p value ever reported; keeps p strictly above zero even
@@ -42,8 +42,6 @@ def _as_sample(values, name: str) -> np.ndarray:
         raise DomainError(f"{name} must be one-dimensional")
     if arr.size < 2:
         raise DomainError(f"{name} needs at least two observations")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} contains non-finite values")
     return arr
 
 
@@ -60,14 +58,14 @@ def two_sample_t(group1, group2) -> TestResult:
                       float(diff[0]), float(se[0]))
 
 
-def batch_two_sample_t(group1: np.ndarray, group2: np.ndarray, *,
-                       arena: Arena | None = None):
+def batch_two_sample_t(group1: np.ndarray, group2: np.ndarray):
     """Row-wise pooled t tests over matrices of shape (m, n1) and (m, n2).
 
     Returns arrays ``(t_stat, df, p_two_sided, observed_diff, se_diff)``
     where df is a shared scalar.  Inputs that are not both 2-d with equal
-    row counts raise `DomainError`; rows with zero pooled variance raise
-    `DegenerateDataError`.  `arena` supplies the (m, n) scratch arrays.
+    row counts, or that hold a NaN or an infinity, raise `DomainError`;
+    rows with zero pooled variance raise `DegenerateDataError`.  The
+    squared deviations take one (m, n) scratch array per group.
     """
     x = np.asarray(group1, dtype=np.float64)
     y = np.asarray(group2, dtype=np.float64)
@@ -77,13 +75,15 @@ def batch_two_sample_t(group1: np.ndarray, group2: np.ndarray, *,
     n2 = y.shape[1]
     if n1 < 2 or n2 < 2:
         raise DomainError("each group needs at least two observations")
+    for values, name in ((x, "group1"), (y, "group2")):
+        if not np.isfinite(values).all():
+            raise DomainError(f"{name} contains non-finite values")
     df = n1 + n2 - 2
-    arena = Arena() if arena is None else arena
 
     mean1 = x.mean(axis=1)
     mean2 = y.mean(axis=1)
-    ss1 = _sum_sq_dev(x, mean1, arena)
-    ss2 = _sum_sq_dev(y, mean2, arena)
+    ss1 = _sum_sq_dev(x, mean1)
+    ss2 = _sum_sq_dev(y, mean2)
     pooled_var = (ss1 + ss2) / df
     if np.any(pooled_var <= 0.0):
         raise DegenerateDataError(
@@ -100,11 +100,11 @@ def batch_two_sample_t(group1: np.ndarray, group2: np.ndarray, *,
     return t, float(df), p, diff, se
 
 
-def _sum_sq_dev(x: np.ndarray, mean: np.ndarray, arena: Arena) -> np.ndarray:
-    """Row sums of (x - mean)**2, the deviations squared in scratch."""
-    with arena:
-        dev = np.subtract(x, mean[:, None], out=arena.take(x.shape))
-        return np.multiply(dev, dev, out=dev).sum(axis=1)
+def _sum_sq_dev(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Row sums of (x - mean)**2, the deviations squared in place."""
+    dev = x - mean[:, None]
+    dev *= dev
+    return dev.sum(axis=1)
 
 
 def significant(result: TestResult, alpha: float) -> bool:

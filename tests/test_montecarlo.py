@@ -5,8 +5,6 @@ inflation statistic against a truncated-normal quadrature oracle.
 
 import hashlib
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -16,8 +14,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from fdrlab.distributions import RngStream, sample_normal
-from fdrlab.errors import (ConfigurationError, DegenerateDataError, DomainError,
-                           UndefinedResultError)
+from fdrlab.errors import ConfigurationError, DomainError, UndefinedResultError
 from fdrlab import distributions, montecarlo
 from fdrlab.montecarlo import (
     MixtureSpec,
@@ -100,8 +97,12 @@ def test_batch_digests_pinned_across_n_seeds_and_threads():
     assert wrong == []
 
 
-def test_warm_chunk_allocates_no_large_array():
-    cfg = SimConfig(n_per_group=16, true_mean_treatment=1.0, n_sims=4096, master_seed=3)
+@pytest.mark.parametrize("n", [3, 16, 50])
+def test_chunk_scratch_stays_within_tiles(n):
+    # the kernels allocate as they go, but over row tiles: beside the
+    # uniforms (4096 rows of 2n draws, padded to whole Philox blocks of 4),
+    # a chunk never holds more than a dozen tiles of scratch
+    cfg = SimConfig(n_per_group=n, true_mean_treatment=1.0, n_sims=4096, master_seed=3)
     first = montecarlo._simulate_chunk(cfg, 0, 4096)
     tracemalloc.start()
     try:
@@ -110,74 +111,8 @@ def test_warm_chunk_allocates_no_large_array():
     finally:
         tracemalloc.stop()
     assert first[0] == second[0] and np.array_equal(first[1], second[1])
-    # the arrays of 4096 x 32 doubles are 1 MiB each
-    assert peak < 2 ** 20
-
-
-def test_spare_arenas_stay_within_their_caps(monkeypatch):
-    spares = []
-    monkeypatch.setattr(distributions, "_SPARE_ARENAS", spares)
-    monkeypatch.setattr(distributions, "_MAX_SPARE_ARENAS", 2)
-    cfg = SimConfig(n_per_group=3, n_sims=20 * montecarlo._CHUNK, master_seed=4)
-    run_batch(cfg, threads=8)
-    assert 1 <= len(spares) <= 2
-    # an arena grown past the byte cap is dropped when it is returned
-    spares.clear()
-    monkeypatch.setattr(distributions, "_ARENA_MAX_BYTES", 2 ** 16)
-    montecarlo._simulate_chunk(cfg, 0, montecarlo._CHUNK)
-    assert spares == []
-
-
-def test_spare_stack_under_contending_threads(monkeypatch):
-    # more threads than cores and a short switch interval: each arena must
-    # be held by one thread at a time, and the stack must stay within its
-    # cap with no arena on it twice
-    monkeypatch.setattr(distributions, "_SPARE_ARENAS", [])
-    monkeypatch.setattr(distributions, "_MAX_SPARE_ARENAS", 3)
-    held, clashes, errors = set(), [], []
-    lock = threading.Lock()
-
-    def borrow_repeatedly():
-        try:
-            for _ in range(300):
-                with distributions.borrowed_arena() as arena:
-                    with lock:
-                        if id(arena) in held:
-                            clashes.append(id(arena))
-                        held.add(id(arena))
-                    arena.take((8,))
-                    with lock:
-                        held.discard(id(arena))
-        except Exception as exc:
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=borrow_repeatedly) for _ in range(8)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
-    assert errors == [] and clashes == []
-    spares = distributions._SPARE_ARENAS
-    assert 1 <= len(spares) <= 3 and len({id(a) for a in spares}) == len(spares)
-
-
-def test_chunk_that_raises_returns_its_arena(monkeypatch):
-    def degenerate(*args, **kwargs):
-        raise DegenerateDataError("stand-in failure")
-
-    spares = []
-    monkeypatch.setattr(distributions, "_SPARE_ARENAS", spares)
-    monkeypatch.setattr(montecarlo, "batch_two_sample_t", degenerate)
-    cfg = SimConfig(n_per_group=5, n_sims=100)
-    with pytest.raises(DegenerateDataError):
-        montecarlo._simulate_chunk(cfg, 0, 100)
-    assert len(spares) == 1 and spares[0].nbytes >= spares[0].high > 0
+    uniform_bytes = 4096 * 4 * -(-2 * n // 4) * 8
+    assert peak <= uniform_bytes + 12 * distributions._TILE * 8
 
 
 def test_thread_cap_is_checked_before_any_thread(monkeypatch):

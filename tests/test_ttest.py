@@ -136,6 +136,20 @@ def test_degenerate_and_domain_errors():
             batch_two_sample_t(group1, group2)
 
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["group1", "group2"])
+def test_batch_rejects_non_finite_observations(name, bad):
+    # rejected up front, before any arithmetic could warn or the
+    # incomplete beta could see a non-finite argument
+    rows = {"group1": np.arange(12.0).reshape(3, 4),
+            "group2": np.arange(12.0).reshape(3, 4) ** 2}
+    rows[name][1, 2] = bad
+    with pytest.raises(DomainError, match=f"{name} contains non-finite values"):
+        batch_two_sample_t(rows["group1"], rows["group2"])
+    with pytest.raises(DomainError, match=f"{name} contains non-finite values"):
+        two_sample_t(rows["group1"][1], rows["group2"][1])
+
 class TestSignificant:
     def test_boundary_is_inclusive(self):
         res = TResult(t_stat=2.0, df=10.0, p_two_sided=0.05,
