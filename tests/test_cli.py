@@ -4,6 +4,7 @@ documented exit codes, seed handling, and histogram export.
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -430,3 +431,70 @@ def test_csv_mapping_format(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 1
     assert float(rows[0]["fdr"]) == pytest.approx(0.36, abs=1e-12)
+
+
+# SHA-256 of a command's stdout in table, csv and json, in that order: the
+# 22 commands of the `analytic` benchmark workload, less `fdr --prevalence 0`
+# (its JSON holds an infinite prior odds), two simulations and an inflation
+# curve.  The simulated digests pass through numpy's SIMD log and exp, as the
+# run_batch digests in test_montecarlo.py do, so other hardware may give
+# other digests without any change to the code.
+_STDOUT_DIGESTS = {
+    "power --solve --target 0.8 --d 1":
+        "b1accfec30e14f0bd51bf16d6d26d7038b6b8c1804f39302cc7d09f3060fa19f",
+    "power --solve --target 0.8 --d 0.2":
+        "196a477907637afae92e956600d2c5ec27f97d6de517739826ff8c0944aa1035",
+    "power --solve --target 0.8 --d 0.01":
+        "2e3277fc08457a4c58a45ecffc57207a88a918a04c968f345b2d8851b15e3bc1",
+    "power --n 3 --d 1":
+        "bd5f8db5f991c2d8b664549527df3fb970ef5cd3fc2754a242be745a78ecc7c0",
+    "power --n 4 --d 1":
+        "0fa58f16c219764d8ffd468e0c633fc3e46789b431f83b8b588273238a202d88",
+    "power --n 5 --d 1":
+        "28e35e3b28f81749e1336a7887457fadf17d9c4fc653c5f48449eca0b8fd5afa",
+    "power --n 6 --d 1":
+        "70d56dd68a65e2c36d086079d72665d9cc41f9b9c9f4f6ffa211bdfd30780f77",
+    "power --n 8 --d 1":
+        "48c90643d35487f08ae1de7543a6c96ed0a7f100d4c2f9951e8edf67bd0fea86",
+    "power --n 10 --d 1":
+        "71dc908a88f08393acec349a91a601f9d6e6a006f693288e864e13eabf9c1f9c",
+    "power --n 12 --d 1":
+        "50f75492c4fd8f6819fffcb8a5d444340205da5d3f4618789a8c9ce9ba869460",
+    "power --n 14 --d 1":
+        "2fc953da6e4c37c53f4da5bb2a2ab0e905247e86198cb39c2cac61ef941d6b10",
+    "power --n 16 --d 1":
+        "739836da3581f47912cd8d31cf8a927864655d72183345895961b358da73b4bd",
+    "power --n 20 --d 1":
+        "9c1907d5d419b3a2ff1642ad5d7d926f109615ea58bfd5e4ce3bd98edd65072f",
+    "power --n 50 --d 1":
+        "e0f8333d535fa182ee443437bd7c54b8531cfa757f4127edec712f9ac9028adf",
+    "screen --prevalence 0.01 --sensitivity 0.8 --specificity 0.95 --population 10000":
+        "c168564dcdd98d2a4fc02123d142e7a6d1441ac4156363c8db0f819789fcd1a7",
+    "fdr --prevalence 0.1 --power 0.8 --alpha 0.05 --n-tests 1000":
+        "cf2f288031ae916b32f8f23db715fc2130d311292e92917c9d1edddf3ff93de3",
+    "fdr --prevalence 0.5 --power 0.8 --alpha 0.05":
+        "624b190614dd140d6ddf003e0402d10439f50a996865027fb6bcc3be99e7b299",
+    "berger --table":
+        "db0ea7c753e6abc64fa45faf514a9d8b47239550f6133ef618feebd93009332d",
+    "berger --p 0.05":
+        "a4625d7a122cb9012b70fa5e7e9005ded28094863ccc44566c8ae0ed590e170d",
+    "berger --p 0.0027":
+        "fbe612f57c9d1a594301f87b8085897f9f0903772f0d729f55c19df27c3efce8",
+    "berger --target-fdr 0.05":
+        "335bb1372c0b7493a161905306080cce994463a27695bb0df41a8daae26d7bb9",
+    "simulate --n-per-group 4 --delta 1 --n-sims 2000 --seed 1":
+        "ab4f6ff8008ca7f01bbe2db129a7033642baf89759656362c77543c6df68f068",
+    "simulate --n-per-group 4 --delta 1 --n-sims 2000 --seed 1 --prevalence 0.1 --interval 0.045,0.05":
+        "508cdeb45da65f8cef5e58c78d5e06f4bc85cecd56448b42cba4cdaace4c141a",
+    "inflation --n-sims 300 --seed 3":
+        "bf194f0998e95b9cf878112614db3ad24b1938c1e5d80a0f6c597da668e0ea5d",
+}
+
+
+@pytest.mark.parametrize("command", list(_STDOUT_DIGESTS))
+def test_stdout_digests_pinned(capsys, command):
+    digest = hashlib.sha256()
+    for fmt in cli._FORMATS:
+        assert main([*command.split(), "--format", fmt]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == _STDOUT_DIGESTS[command]
