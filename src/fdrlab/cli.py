@@ -1,11 +1,16 @@
 """Command-line front end.
 
-One subcommand per computation, each able to render as an aligned table
-(default, 4 significant figures), CSV, or JSON (both full precision).
+One subcommand per computation.  Each handler only computes: it returns one
+record (a dict) or a list of uniform records, and `main` renders that
+result once, through `_emit`, as an aligned table (default, 4 significant
+figures), CSV, or JSON (both full precision).  JSON is strict: a NaN or
+infinite value is written as null.  A warning the library raises prints as
+one ``warning:`` line on stderr.
 
 Exit codes: 0 success, 2 invalid flags, 3 domain or undefined-result errors,
 4 I/O failure, 5 out of memory, 130 interrupted (Ctrl-C), each with an
-``error:`` message and no traceback.  The environment variable FDRLAB_SEED
+``error:`` message and no traceback; they cover rendering as well as the
+computation.  The environment variable FDRLAB_SEED
 supplies the default master seed for the simulation subcommands.
 
 Every flag value is checked by the library's own rule (`fdrlab.errors`:
@@ -22,8 +27,10 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
+import warnings
 
 from .errors import (ConfigurationError, DegenerateDataError, DomainError,
                      UndefinedResultError, finite, integer_at_least,
@@ -79,10 +86,6 @@ _seed = _flag(int, uint64_value)
 def _fmt_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         if value.is_integer() and abs(value) < 1e15:
             return str(int(value))
@@ -90,102 +93,90 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _emit_mapping(data: dict, fmt: str, out) -> None:
-    """Render a flat field -> value mapping."""
-    if fmt == "json":
-        print(json.dumps(data, indent=2), file=out)
-    elif fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow(data.keys())
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in data.values()])
-    else:
-        width = max(len(key) for key in data)
-        for key, value in data.items():
-            print(f"{key:<{width}}  {_fmt_cell(value)}", file=out)
+def _finite_or_null(value):
+    """`value` with every NaN or infinite float, nested ones included, made
+    None.  Lists of ints, such as a p histogram, are returned unwalked."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list) and not (value and isinstance(value[0], int)):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
-def _emit_rows(fieldnames: list[str], rows: list[dict], fmt: str, out) -> None:
-    """Render a list of uniform records."""
+def _emit(result, fmt: str, out) -> None:
+    """Render one record (a dict) or a list of uniform records: as strict
+    JSON, as CSV with a header row, or as a table (a record one field per
+    line, a list one row per record)."""
     if fmt == "json":
-        print(json.dumps(rows, indent=2), file=out)
-    elif fmt == "csv":
+        print(json.dumps(_finite_or_null(result), indent=2, allow_nan=False), file=out)
+        return
+    rows = [result] if isinstance(result, dict) else result
+    if fmt == "csv":
         writer = csv.writer(out)
-        writer.writerow(fieldnames)
+        writer.writerow(rows[0].keys())
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in (row[name] for name in fieldnames)])
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
+    elif isinstance(result, dict):
+        width = max(len(key) for key in result)
+        for key, value in result.items():
+            print(f"{key:<{width}}  {_fmt_cell(value)}", file=out)
     else:
-        cells = [[_fmt_cell(row[name]) for name in fieldnames] for row in rows]
-        widths = [max(len(name), *(len(c[i]) for c in cells)) if cells else len(name)
-                  for i, name in enumerate(fieldnames)]
-        print("  ".join(name.ljust(w) for name, w in zip(fieldnames, widths)), file=out)
-        for row_cells in cells:
-            print("  ".join(cell.ljust(w) for cell, w in zip(row_cells, widths)), file=out)
+        cells = [[_fmt_cell(value) for value in row.values()] for row in rows]
+        widths = [max(len(name), *(len(c[i]) for c in cells))
+                  for i, name in enumerate(rows[0])]
+        for line in [list(rows[0]), *cells]:
+            print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)), file=out)
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.
+# Subcommand handlers: each returns its record or list of records.
 # ---------------------------------------------------------------------------
 
-def _cmd_screen(args) -> int:
+def _cmd_screen(args) -> dict:
     spec = fc.DiagnosticSpec(prevalence=args.prevalence,
                              sensitivity=args.sensitivity,
                              specificity=args.specificity)
     breakdown = fc.screening_breakdown(spec, population=args.population)
-    data = {"prevalence": args.prevalence, "sensitivity": args.sensitivity,
-            "specificity": args.specificity, "population": args.population}
-    data.update(breakdown.to_dict())
-    _emit_mapping(data, args.format, sys.stdout)
-    return 0
+    return {"prevalence": args.prevalence, "sensitivity": args.sensitivity,
+            "specificity": args.specificity, "population": args.population,
+            **breakdown.to_dict()}
 
 
-def _cmd_fdr(args) -> int:
+def _cmd_fdr(args) -> dict:
     scenario = fc.TestScenario(prevalence=args.prevalence, power=args.power,
                                alpha=args.alpha)
     breakdown = fc.significance_breakdown(scenario, n_tests=args.n_tests)
     odds = fc.posterior_odds(scenario)
-    data = {"prevalence": args.prevalence, "power": args.power,
-            "alpha": args.alpha, "n_tests": args.n_tests}
-    data.update(breakdown.to_dict())
-    for key, value in odds.to_dict().items():
-        if key != "fdr":
-            data[key] = value
-    _emit_mapping(data, args.format, sys.stdout)
-    return 0
+    record = {"prevalence": args.prevalence, "power": args.power,
+              "alpha": args.alpha, "n_tests": args.n_tests, **breakdown.to_dict()}
+    record.update((key, value) for key, value in odds.to_dict().items()
+                  if key != "fdr")
+    return record
 
 
-def _cmd_berger(args) -> int:
+def _cmd_berger(args) -> dict | list[dict]:
     if args.table:
-        rows = fc.berger_table()
-        _emit_rows(["p", "min_bayes_factor", "min_fdr"], rows, args.format, sys.stdout)
-    elif args.target_fdr is not None:
+        return fc.berger_table()
+    if args.target_fdr is not None:
         p = fc.alpha_for_target_fdr(args.target_fdr)
-        _emit_mapping({"target_fdr": args.target_fdr, "p": p,
-                       "min_fdr_check": fc.berger_min_fdr(p)},
-                      args.format, sys.stdout)
-    else:
-        _emit_mapping({"p": args.p,
-                       "min_bayes_factor": fc.berger_min_bayes_factor(args.p),
-                       "min_fdr": fc.berger_min_fdr(args.p)},
-                      args.format, sys.stdout)
-    return 0
+        return {"target_fdr": args.target_fdr, "p": p,
+                "min_fdr_check": fc.berger_min_fdr(p)}
+    return {"p": args.p, "min_bayes_factor": fc.berger_min_bayes_factor(args.p),
+            "min_fdr": fc.berger_min_fdr(args.p)}
 
 
-def _cmd_power(args) -> int:
+def _cmd_power(args) -> dict:
     if args.solve:
         if args.target is None:
             raise ConfigurationError("--solve requires --target")
         n = pw.solve_n(args.target, args.d, args.alpha)
-        _emit_mapping({"target_power": args.target, "effect_size_d": args.d,
-                       "alpha": args.alpha, "n_per_group": n,
-                       "power_at_n": pw.power_two_sample(n, args.d, args.alpha)},
-                      args.format, sys.stdout)
-    else:
-        value = pw.power_two_sample(args.n, args.d, args.alpha)
-        _emit_mapping({"n_per_group": args.n, "effect_size_d": args.d,
-                       "alpha": args.alpha, "power": value},
-                      args.format, sys.stdout)
-    return 0
+        return {"target_power": args.target, "effect_size_d": args.d,
+                "alpha": args.alpha, "n_per_group": n,
+                "power_at_n": pw.power_two_sample(n, args.d, args.alpha)}
+    return {"n_per_group": args.n, "effect_size_d": args.d, "alpha": args.alpha,
+            "power": pw.power_two_sample(args.n, args.d, args.alpha)}
 
 
 def _resolve_seed(args) -> int:
@@ -200,98 +191,62 @@ def _resolve_seed(args) -> int:
         raise ConfigurationError(f"FDRLAB_SEED: {exc}")
 
 
-def _summary_flat(summary: mc.SimSummary, prefix: str = "") -> dict:
-    """The scalar fields of `summary.to_dict()`, with `prefix` on each key."""
-    return {prefix + key: value for key, value in summary.to_dict().items()
-            if key not in ("config", "p_histogram_bin_width", "p_histogram")}
-
-
-def _histogram_path(path: str, tag: str) -> str:
-    stem, ext = os.path.splitext(path)
-    return f"{stem}_{tag}{ext or '.csv'}"
-
-
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
+    """JSON nests each batch's full summary under its tag ("null",
+    "effect"), or gives the single batch's summary itself; table and CSV
+    flatten the scalars into one record, the tag as a key prefix."""
     seed = _resolve_seed(args)
     if args.interval is not None and args.prevalence is None:
         raise ConfigurationError("--interval requires --prevalence")
+    nested = args.format == "json"
 
     if args.prevalence is None:
-        config = mc.SimConfig(n_per_group=args.n_per_group,
-                              true_mean_control=0.0,
-                              true_mean_treatment=args.delta,
-                              sd=args.sd, n_sims=args.n_sims,
-                              alpha=args.alpha, master_seed=seed)
-        summary = mc.run_batch(config, threads=args.threads)
-        if args.emit_histogram:
-            mc.write_histogram_csv(summary, args.emit_histogram, args.hist_bin_width)
-        if args.format == "json":
-            print(summary.to_json(), file=sys.stdout)
-        else:
-            data = dict(config.to_dict())
-            data.update(_summary_flat(summary))
-            _emit_mapping(data, args.format, sys.stdout)
-        return 0
-
-    spec = mc.make_mixture(prevalence=args.prevalence,
-                           n_per_group=args.n_per_group, delta=args.delta,
-                           sd=args.sd, n_sims=args.n_sims, alpha=args.alpha,
-                           master_seed=seed, threads=args.threads)
-    breakdown = mc.mixture_fdr(spec)
-    interval_part = {}
-    if args.interval is not None:
-        lo, hi = args.interval
-        interval_part = {
-            "interval_lo": lo,
-            "interval_hi": hi,
-            "interval_fdr": mc.interval_fdr(spec, lo, hi),
-            "interval_count_null": spec.null_summary.count_in_interval(lo, hi),
-            "interval_count_effect": spec.effect_summary.count_in_interval(lo, hi),
-        }
-    if args.emit_histogram:
-        mc.write_histogram_csv(spec.null_summary,
-                               _histogram_path(args.emit_histogram, "null"),
-                               args.hist_bin_width)
-        mc.write_histogram_csv(spec.effect_summary,
-                               _histogram_path(args.emit_histogram, "effect"),
-                               args.hist_bin_width)
-
-    if args.format == "json":
-        payload = {
-            "prevalence": args.prevalence,
-            "mixture": breakdown.to_dict(),
-            **interval_part,
-            "null": spec.null_summary.to_dict(),
-            "effect": spec.effect_summary.to_dict(),
-        }
-        print(json.dumps(payload, indent=2), file=sys.stdout)
+        config = mc.SimConfig(n_per_group=args.n_per_group, true_mean_treatment=args.delta,
+                              sd=args.sd, n_sims=args.n_sims, alpha=args.alpha,
+                              master_seed=seed)
+        summaries = {"": mc.run_batch(config, threads=args.threads)}
+        record = {} if nested else config.to_dict()
     else:
-        data = {"prevalence": args.prevalence}
-        data.update(breakdown.to_dict())
-        data.update(interval_part)
-        data.update(_summary_flat(spec.null_summary, "null_"))
-        data.update(_summary_flat(spec.effect_summary, "effect_"))
-        _emit_mapping(data, args.format, sys.stdout)
-    return 0
+        spec = mc.make_mixture(prevalence=args.prevalence,
+                               n_per_group=args.n_per_group, delta=args.delta,
+                               sd=args.sd, n_sims=args.n_sims, alpha=args.alpha,
+                               master_seed=seed, threads=args.threads)
+        summaries = {"null": spec.null_summary, "effect": spec.effect_summary}
+        mixture = mc.mixture_fdr(spec).to_dict()
+        record = {"prevalence": args.prevalence,
+                  **({"mixture": mixture} if nested else mixture)}
+        if args.interval is not None:
+            lo, hi = args.interval
+            record.update(interval_lo=lo, interval_hi=hi,
+                          interval_fdr=mc.interval_fdr(spec, lo, hi),
+                          interval_count_null=spec.null_summary.count_in_interval(lo, hi),
+                          interval_count_effect=spec.effect_summary.count_in_interval(lo, hi))
+
+    for tag, summary in summaries.items():
+        if args.emit_histogram:
+            stem, ext = os.path.splitext(args.emit_histogram)
+            path = f"{stem}_{tag}{ext or '.csv'}" if tag else args.emit_histogram
+            mc.write_histogram_csv(summary, path, args.hist_bin_width)
+        data = summary.to_dict()
+        if nested:
+            record.update({tag: data} if tag else data)
+        else:
+            prefix = f"{tag}_" if tag else ""
+            record.update((prefix + key, value) for key, value in data.items()
+                          if key not in ("config", "p_histogram_bin_width", "p_histogram"))
+    return record
 
 
-def _cmd_inflation(args) -> int:
+def _cmd_inflation(args) -> list[dict]:
     n_values = sorted(set(args.n_list))
     if len(n_values) != len(args.n_list):
         dupes = sorted({n for n in args.n_list if args.n_list.count(n) > 1})
         print(f"warning: duplicate n values deduplicated: {dupes}", file=sys.stderr)
     seed = _resolve_seed(args)
-    base = mc.SimConfig(n_per_group=max(n_values),
-                        true_mean_control=0.0, true_mean_treatment=args.delta,
-                        sd=args.sd, n_sims=args.n_sims, alpha=args.alpha,
-                        master_seed=seed)
-    points = mc.inflation_curve(n_values, base, threads=args.threads)
-    rows = [{"n_per_group": point.n_per_group, "power": point.power,
-             "mean_diff_significant": point.mean_diff_significant}
-            for point in points]
-    _emit_rows(["n_per_group", "power", "mean_diff_significant"],
-               rows, args.format, sys.stdout)
-    return 0
+    base = mc.SimConfig(n_per_group=max(n_values), true_mean_treatment=args.delta,
+                        sd=args.sd, n_sims=args.n_sims, alpha=args.alpha, master_seed=seed)
+    return [point._asdict()
+            for point in mc.inflation_curve(n_values, base, threads=args.threads)]
 
 
 # ---------------------------------------------------------------------------
@@ -431,29 +386,34 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     if getattr(args, "handler", None) is None:
         parser.print_help(sys.stderr)
         return 2
-    try:
-        return args.handler(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, DegenerateDataError, UndefinedResultError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 5
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return 130
+    # Only the display changes: the warning filters stay as they are.
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            _emit(args.handler(args), args.format, sys.stdout)
+            return 0
+        except ConfigurationError as exc:
+            code, message = 2, exc
+        except (DomainError, DegenerateDataError, UndefinedResultError) as exc:
+            code, message = 3, exc
+        except OSError as exc:
+            code, message = 4, exc
+        except MemoryError:
+            code, message = 5, "out of memory"
+        except KeyboardInterrupt:
+            code, message = 130, "interrupted"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

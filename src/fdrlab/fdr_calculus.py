@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError, UndefinedResultError, positive, probability
 
@@ -120,12 +120,7 @@ class OddsResult:
     fdr: float
 
     def to_dict(self) -> dict:
-        return {
-            "prior_odds_h0": self.prior_odds_h0,
-            "likelihood_ratio_h0_h1": self.likelihood_ratio_h0_h1,
-            "posterior_odds_h0": self.posterior_odds_h0,
-            "fdr": self.fdr,
-        }
+        return asdict(self)
 
 
 def _tree_breakdown(pos_limb: float, pos_rate: float,

@@ -31,7 +31,7 @@ import json
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -149,15 +149,7 @@ class SimConfig:
         return self.true_mean_treatment - self.true_mean_control
 
     def to_dict(self) -> dict:
-        return {
-            "n_per_group": self.n_per_group,
-            "true_mean_control": self.true_mean_control,
-            "true_mean_treatment": self.true_mean_treatment,
-            "sd": self.sd,
-            "n_sims": self.n_sims,
-            "alpha": self.alpha,
-            "master_seed": self.master_seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

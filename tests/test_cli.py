@@ -8,9 +8,14 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fdrlab
 from fdrlab import cli
 from fdrlab.cli import build_parser, main
 
@@ -416,6 +421,41 @@ def test_json_round_trips_losslessly(capsys):
                     "--power", "0.8", "--alpha", "0.05")
     reference = 0.123456789
     assert data["prevalence"] == reference  # exact, not approximate
+
+
+def _reject_constant(token):
+    raise ValueError(f"not RFC 8259 JSON: {token}")
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["inflation", "--n-list", "3", "--n-sims", "1"], "mean_diff_significant"),
+    (["screen", "--prevalence", "0", "--sensitivity", "1", "--specificity", "0"], "npv"),
+    (["fdr", "--prevalence", "0", "--power", "0.8", "--alpha", "0.05"], "prior_odds_h0"),
+], ids=["inflation", "screen", "fdr"])
+def test_json_writes_null_for_nan_and_infinity(capsys, argv, key):
+    # NaN, no significant test at all; NaN, no negatives; +inf, no real effects
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    data = json.loads(out, parse_constant=_reject_constant)
+    record = data[0] if isinstance(data, list) else data
+    assert record[key] is None
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["fdr", "--prevalence", "0.1", "--power", "0.01", "--alpha", "0.05"],
+     "power (0.01) below alpha (0.05): test performs worse than chance"),
+    (["simulate", "--n-per-group", "3", "--delta", "0", "--sd", "1e300",
+      "--n-sims", "10", "--threads", "1"], "overflow encountered"),
+], ids=["fdr", "simulate"])
+def test_library_warning_prints_as_one_warning_line(argv, expected):
+    # A subprocess, because the suite turns every warning into an error.
+    env = {**os.environ, "PYTHONPATH": str(Path(fdrlab.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "fdrlab", *argv], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    lines = result.stderr.splitlines()
+    assert lines and all(line.startswith("warning: ") for line in lines), lines
+    assert expected in lines[0]
 
 
 def test_no_command_prints_help(capsys):
