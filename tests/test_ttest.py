@@ -3,6 +3,7 @@ properties, an exhaustive permutation oracle, and null-uniformity of the
 resulting p values.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -12,6 +13,7 @@ import scipy.stats
 
 from fdrlab.distributions import RngStream, block_uniforms, normal_quantile
 from fdrlab.errors import DegenerateDataError, DomainError
+from fdrlab.montecarlo import STREAM_VERSION
 from fdrlab.ttest import batch_two_sample_t, significant, two_sample_t
 from fdrlab.ttest import TestResult as TResult
 
@@ -135,6 +137,25 @@ def test_degenerate_and_domain_errors():
         with pytest.raises(DomainError):
             batch_two_sample_t(group1, group2)
 
+
+# SHA-256 of `batch_two_sample_t`'s p values over seeded 4096-row chunks,
+# drawn as the simulation draws them, at n = 3, 16 and 50 and true
+# differences 0 and 1, hashed in that order.  The p value is part of the
+# simulated stream, so the digests are keyed by STREAM_VERSION, as the kernel
+# digests in tests/test_distributions.py are; the older ones stay as the
+# record of what each version gave.
+_P_DIGESTS = {
+    2: "2aba18bbe7f2af9c086a162ba085ff4af36ee2dd696f360f8084098d0c26f28e",
+}
+
+
+def test_p_value_digest():
+    digest = hashlib.sha256()
+    for n in (3, 16, 50):
+        z = normal_quantile(block_uniforms([RngStream(2024, i) for i in range(4096)], 2 * n))
+        for delta in (0.0, 1.0):
+            digest.update(batch_two_sample_t(z[:, :n], z[:, n:] + delta)[2].tobytes())
+    assert digest.hexdigest() == _P_DIGESTS[STREAM_VERSION]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
