@@ -315,69 +315,59 @@ _CF_EPS = 3.0e-15
 _CF_FPMIN = 1.0e-300
 
 
-def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    np.copyto(d, _CF_FPMIN, where=np.abs(d) < _CF_FPMIN)
-    d = 1.0 / d
-    h = d.copy()
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _CF_FPMIN, where=np.abs(d) < _CF_FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _CF_FPMIN, where=np.abs(c) < _CF_FPMIN)
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _CF_FPMIN, where=np.abs(d) < _CF_FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _CF_FPMIN, where=np.abs(c) < _CF_FPMIN)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if np.all(np.abs(delta - 1.0) < _CF_EPS):
-            return h
-    raise FdrLabError(
-        f"incomplete beta continued fraction did not converge (a={a}, b={b})"
-    )
+def _betacf(a: float, b: float, x):
+    """Continued fraction of I_x(a, b) by modified Lentz, for a float `x` in
+    `math` floats or for an array `x` elementwise.
 
-
-def _betacf_scalar(a: float, b: float, x: float) -> float:
-    """`_betacf` for one float, step for step in `math` floats."""
+    The fraction stops at the first step whose factor is within `_CF_EPS`
+    of 1.  An array element keeps its h from that step, and the loop ends
+    once every element has stopped, so each element gets the float's bits.
+    """
+    scalar = isinstance(x, float)
+    guard = _cf_guard_float if scalar else _cf_guard_array
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    d = 1.0 / (d if abs(d) >= _CF_FPMIN else _CF_FPMIN)
+    d = 1.0 / guard(1.0 - qab * x / qap)
     h = d
+    if not scalar:
+        out = np.empty_like(x)
+        running = np.ones(x.shape, dtype=bool)
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        c = 1.0 + aa / c
-        c = c if abs(c) >= _CF_FPMIN else _CF_FPMIN
-        d = 1.0 / (d if abs(d) >= _CF_FPMIN else _CF_FPMIN)
+        d = 1.0 / guard(1.0 + aa * d)
+        c = guard(1.0 + aa / c)
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        c = 1.0 + aa / c
-        c = c if abs(c) >= _CF_FPMIN else _CF_FPMIN
-        d = 1.0 / (d if abs(d) >= _CF_FPMIN else _CF_FPMIN)
+        d = 1.0 / guard(1.0 + aa * d)
+        c = guard(1.0 + aa / c)
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
+        stop = abs(delta - 1.0) < _CF_EPS
+        if scalar:
+            if stop:
+                return h
+        else:
+            np.copyto(out, h, where=stop & running)
+            running &= ~stop
+            if not running.any():
+                return out
     raise FdrLabError(
         f"incomplete beta continued fraction did not converge (a={a}, b={b})"
     )
+
+
+def _cf_guard_float(v: float) -> float:
+    """`v`, or `_CF_FPMIN` if |v| is below it: Lentz's guard against 0."""
+    return v if abs(v) >= _CF_FPMIN else _CF_FPMIN
+
+
+def _cf_guard_array(v: np.ndarray) -> np.ndarray:
+    """`_cf_guard_float` elementwise, in place."""
+    np.copyto(v, _CF_FPMIN, where=np.abs(v) < _CF_FPMIN)
+    return v
 
 
 # log B(a, b) as lgamma(a) + lgamma(b) - lgamma(a + b) loses the digits of
@@ -469,9 +459,9 @@ def _betainc_scalar(a: float, b: float, x: float) -> float:
         return x
     front = math.exp(a * math.log(x) + b * math.log1p(-x) - _lbeta(a, b))
     if x < (a + 1.0) / (a + b + 2.0):
-        res = front * _betacf_scalar(a, b, x) / a
+        res = front * _betacf(a, b, x) / a
     else:
-        res = 1.0 - front * _betacf_scalar(b, a, 1.0 - x) / b
+        res = 1.0 - front * _betacf(b, a, 1.0 - x) / b
     return min(1.0, max(0.0, res))
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdrlab.distributions import (
     RngStream,
+    _betacf,
     _lbeta,
     block_uniforms,
     noncentral_t_cdf,
@@ -231,6 +232,17 @@ class TestIncompleteBeta:
             assert isinstance(value, float)
             assert value == pytest.approx(scipy.special.betainc(2.0, 3.0, x), abs=1e-15)
 
+    def test_array_fraction_equals_float_fraction(self):
+        # each element of an array stops at its own first converged step, so
+        # it gets the float's bits; the large a are where the fraction is
+        # slowest, and where one element's stop used to wait for the others
+        rng = np.random.default_rng(14)
+        for a in (*np.exp(rng.uniform(-1.0, 9.0, 40)), 3999.0, 4999.0, 156978.0):
+            for b in (0.5, 1.0, 3.5, 40.0):
+                x = rng.uniform(0.0, (a + 1.0) / (a + b + 2.0), 60)
+                floats = [_betacf(float(a), b, float(v)) for v in x]
+                assert _betacf(float(a), b, x).tolist() == floats
+
     def test_log_beta_against_mpmath(self):
         # exp(-log B(a, b)) to 1e-14 relative, either way round, across the
         # switch to the Stirling difference at max(a, b) = 8
@@ -316,6 +328,13 @@ class TestStudentT:
                 assert student_t_cdf(t, df) == pytest.approx(0.5 + f0 * t, abs=3e-16)
             ts = np.array([-3e-6, 1e-9, 2.0])
             assert list(student_t_cdf(ts, df)) == [student_t_cdf(t, df) for t in ts]
+
+    def test_array_far_tail_at_large_df(self):
+        # each element converges alone; the array used to wait for all of
+        # them to pass the step test at one step, and raised
+        ts = np.array([39.68, 39.76, 39.8, 39.84, 39.88, 39.92, 39.96, 40.0])
+        for t in (ts, -ts):
+            assert student_t_cdf(t, 313956).tolist() == [student_t_cdf(v, 313956) for v in t]
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -510,6 +529,8 @@ class TestKernelBits:
     QUANTILE = {
         1: "73298e25c6c6f6db5e5dac142b486ee8962d3b0f791592298e45bbe5895369e6",
         2: "639a9ffbd1b02511df3b4118751b3cc08648b852cd9c82e930f8d32d80650647",
+        # version 3 changed only the p value's continued fraction
+        3: "639a9ffbd1b02511df3b4118751b3cc08648b852cd9c82e930f8d32d80650647",
     }
     CDF = "901a0c8c1dc23c4f091839a16640ae516c911c657effc0ea65b240a398398d1c"
 

@@ -82,6 +82,17 @@ _BATCH_DIGESTS = {
         (3, 0): "cfe5cb56c7b3b2c20c0efcac767742fbfa5b3ca4bba0d0ffca08d9cc11166ffc",
         (3, _MAX64): "abcb3c2018b22db055c1930f389cd85004305d1e19ebd9948ddddbb23a94fe75",
     },
+    # version 3: each of these JSONs is version 2's with "stream_version": 3
+    3: {
+        (50, 0): "cded6a534a776cbd357a625c0ec0dd87effeb4957a83dd94787f38c0bc8b10e7",
+        (50, _MAX64): "a96cc032d264e8a5a118d632f7f2f022729220c83f2e1fa9e811180b34362399",
+        (2, 0): "fbecf559ed36df891ce2dad55636191487aa41da6aa6b5796000c24fa6679356",
+        (2, _MAX64): "ee8d652c0703fadfc9b443e98ed5184d62cec8e81ec8040132c71a3dbfa0d1b3",
+        (16, 0): "7dbcec7605ebe551bd23e02b576d9b685ecdcb445f97e40a2911b855561df432",
+        (16, _MAX64): "2df35dda5cec62a765ae2440b7585aa7afa59f945be63d1f6f6372ba7007a835",
+        (3, 0): "b2c00ac67ab12497f41d8c5f94cccaa35879b8fc8d5708809c80f692c381db48",
+        (3, _MAX64): "dbf9763f9f19979a59ff09a73afbd69f7b6368ce3e3ee165f96e7a50a6cf3df4",
+    },
 }
 
 

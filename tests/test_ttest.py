@@ -146,6 +146,7 @@ def test_degenerate_and_domain_errors():
 # record of what each version gave.
 _P_DIGESTS = {
     2: "2aba18bbe7f2af9c086a162ba085ff4af36ee2dd696f360f8084098d0c26f28e",
+    3: "ec8fa97b6f5a41e6feaa08548152dc54debec7b5416bd9b7e13a3cfdb23db639",
 }
 
 
