@@ -7,11 +7,12 @@ figures), CSV, or JSON (both full precision).  JSON is strict: a NaN or
 infinite value is written as null.  A warning the library raises prints as
 one ``warning:`` line on stderr.
 
-Exit codes: 0 success, 2 invalid flags, 3 domain or undefined-result errors,
-4 I/O failure, 5 out of memory, 130 interrupted (Ctrl-C), each with an
-``error:`` message and no traceback; they cover rendering as well as the
-computation.  The environment variable FDRLAB_SEED
-supplies the default master seed for the simulation subcommands.
+Exit codes: 0 success, 2 invalid flags, 3 any other library error (domain,
+undefined result, degenerate data or a numerical failure), 4 I/O failure,
+5 out of memory, 130 interrupted (Ctrl-C), each with an ``error:`` message
+and no traceback; they cover rendering as well as the computation.  The
+environment variable FDRLAB_SEED supplies the default master seed for the
+simulation subcommands.
 
 Every flag value is checked by the library's own rule (`fdrlab.errors`:
 `finite`, `positive`, `probability`, `open_probability`,
@@ -32,8 +33,7 @@ import os
 import sys
 import warnings
 
-from .errors import (ConfigurationError, DegenerateDataError, DomainError,
-                     UndefinedResultError, finite, integer_at_least,
+from .errors import (ConfigurationError, FdrLabError, finite, integer_at_least,
                      open_probability, positive, probability, uint64_value)
 from . import fdr_calculus as fc
 from . import montecarlo as mc
@@ -404,7 +404,7 @@ def main(argv=None) -> int:
             return 0
         except ConfigurationError as exc:
             code, message = 2, exc
-        except (DomainError, DegenerateDataError, UndefinedResultError) as exc:
+        except FdrLabError as exc:
             code, message = 3, exc
         except OSError as exc:
             code, message = 4, exc

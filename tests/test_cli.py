@@ -18,6 +18,7 @@ import pytest
 import fdrlab
 from fdrlab import cli
 from fdrlab.cli import build_parser, main
+from fdrlab.errors import FdrLabError
 
 
 _SCALARS = ("count_significant", "fraction_significant", "mean_diff_all",
@@ -361,12 +362,14 @@ def test_parser_is_built_once():
 @pytest.mark.parametrize("exc, code, message", [
     (KeyboardInterrupt, 130, "error: interrupted"),
     (MemoryError, 5, "error: out of memory"),
+    # the base class, as a numerical failure raises it
+    (FdrLabError, 3, "error: continued fraction did not converge"),
 ])
 def test_interrupt_and_memory_error_exit_codes(capsys, monkeypatch, exc, code, message):
     # The parser, built once, holds the handlers themselves, so the handler
     # is made to raise through the library call it makes.
     def raise_it(*args, **kwargs):
-        raise exc()
+        raise exc("continued fraction did not converge")
 
     monkeypatch.setattr(cli.fc, "berger_table", raise_it)
     assert main(["berger", "--table"]) == code
