@@ -115,14 +115,15 @@ def power_two_sample(n_per_group: int, effect_size_d: float, alpha: float = 0.05
 
     `effect_size_d` is the true mean difference in units of the common
     standard deviation; its sign does not matter.  Both tails come from one
-    `noncentral_t_cdf` call at -t_crit and t_crit.
+    `noncentral_t_cdf` call at -t_crit and t_crit.  t_crit is the quantile
+    of alpha / 2 itself, so it does not carry the rounding of 1 - alpha / 2.
     """
     n = integer_at_least(n_per_group, 2, "n_per_group")
     alpha = open_probability(alpha, "alpha")
     d = finite(effect_size_d, "effect_size_d")
     df = 2 * n - 2
     ncp = d * math.sqrt(n / 2.0)
-    t_crit = student_t_quantile(1.0 - 0.5 * alpha, df)
+    t_crit = -student_t_quantile(0.5 * alpha, df)
     below, at_crit = noncentral_t_cdf(np.array([-t_crit, t_crit]), df, ncp).tolist()
     return (1.0 - at_crit) + below
 
@@ -148,7 +149,7 @@ def solve_n(target_power: float, effect_size_d: float, alpha: float = 0.05) -> i
     def reaches(n: int) -> bool:
         return power_two_sample(n, d, alpha) >= target
 
-    z = float(normal_quantile(1.0 - 0.5 * alpha) + normal_quantile(target))
+    z = float(normal_quantile(target) - normal_quantile(0.5 * alpha))
     # min() keeps the square finite; 2 * 2**32 is past _N_MAX anyway.
     ratio = min(max(z, 0.0) / abs(d), 2.0 ** 16)
     n = min(max(math.ceil(2.0 * ratio * ratio), 2), _N_MAX)

@@ -487,29 +487,29 @@ _STDOUT_DIGESTS = {
     "power --solve --target 0.8 --d 1":
         "b1accfec30e14f0bd51bf16d6d26d7038b6b8c1804f39302cc7d09f3060fa19f",
     "power --solve --target 0.8 --d 0.2":
-        "196a477907637afae92e956600d2c5ec27f97d6de517739826ff8c0944aa1035",
+        "c1c8a5b441e73749361497f8a7afa4dd1896f0f67649a7f34365a7a473cc2b3e",
     "power --solve --target 0.8 --d 0.01":
-        "2e3277fc08457a4c58a45ecffc57207a88a918a04c968f345b2d8851b15e3bc1",
+        "9b1c4efa2cdaa09a74f4be798ec402ed84dba7fbd4e438e7553e86d39dab81ca",
     "power --n 3 --d 1":
-        "bd5f8db5f991c2d8b664549527df3fb970ef5cd3fc2754a242be745a78ecc7c0",
+        "a5c075408ffa42c1413079cb9a3f2c791c816b24237d5dd30ab468c4f261832a",
     "power --n 4 --d 1":
-        "0fa58f16c219764d8ffd468e0c633fc3e46789b431f83b8b588273238a202d88",
+        "0622d8333c365812f2f3ec24daef7d7d017034d090d72bd3fcd5d4eaca0646fd",
     "power --n 5 --d 1":
         "28e35e3b28f81749e1336a7887457fadf17d9c4fc653c5f48449eca0b8fd5afa",
     "power --n 6 --d 1":
-        "70d56dd68a65e2c36d086079d72665d9cc41f9b9c9f4f6ffa211bdfd30780f77",
+        "084a6b49ac23f43532f6f9d4be895205ccb89ed4ea153d3d5de9888438f47950",
     "power --n 8 --d 1":
-        "48c90643d35487f08ae1de7543a6c96ed0a7f100d4c2f9951e8edf67bd0fea86",
+        "f7741415629f65c484d99445e9432b09fbffb189cf6cb4613ecbb43928e2dd34",
     "power --n 10 --d 1":
         "71dc908a88f08393acec349a91a601f9d6e6a006f693288e864e13eabf9c1f9c",
     "power --n 12 --d 1":
         "50f75492c4fd8f6819fffcb8a5d444340205da5d3f4618789a8c9ce9ba869460",
     "power --n 14 --d 1":
-        "2fc953da6e4c37c53f4da5bb2a2ab0e905247e86198cb39c2cac61ef941d6b10",
+        "495e8cf871240051afe65b80ca3a079395c526f0e3d0e122f44c72a0eff539a5",
     "power --n 16 --d 1":
-        "739836da3581f47912cd8d31cf8a927864655d72183345895961b358da73b4bd",
+        "7352cd522d8fdcd67ef264bdf8a2de71c3954d029a67798515881eb7b8e3abf9",
     "power --n 20 --d 1":
-        "9c1907d5d419b3a2ff1642ad5d7d926f109615ea58bfd5e4ce3bd98edd65072f",
+        "92dd23199acee7d42eeda0d3d9bc049fa6263eb5a642805eced2a862c712dca3",
     "power --n 50 --d 1":
         "e0f8333d535fa182ee443437bd7c54b8531cfa757f4127edec712f9ac9028adf",
     "screen --prevalence 0.01 --sensitivity 0.8 --specificity 0.95 --population 10000":
@@ -531,7 +531,7 @@ _STDOUT_DIGESTS = {
     "simulate --n-per-group 4 --delta 1 --n-sims 2000 --seed 1 --prevalence 0.1 --interval 0.045,0.05":
         "78af757907f714e1e5db6d4c3415450bfaf55a318683b88e36ef578342013c6f",
     "inflation --n-sims 300 --seed 3":
-        "bf194f0998e95b9cf878112614db3ad24b1938c1e5d80a0f6c597da668e0ea5d",
+        "2e286a11cfac624db08648c56cbab52836061e3bb43fc396214597c2ad2c7970",
 }
 
 

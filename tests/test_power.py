@@ -11,6 +11,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from fdrlab import power
 from fdrlab.distributions import student_t_cdf
 from fdrlab.errors import DomainError
 from fdrlab.power import power_two_sample, solve_n, student_t_quantile
@@ -75,6 +76,34 @@ def test_t_quantile_at_large_df_against_mpmath():
         assert abs(float((student_t_quantile(0.975, df) - exact) / exact)) < 1e-11
 
 
+def test_critical_value_against_mpmath(monkeypatch):
+    # t_crit is the quantile of alpha / 2 itself.  The quantile of
+    # 1 - alpha / 2 carried that subtraction's rounding, 3.6e-9 relative at
+    # alpha = 1e-10 and df = 30, and below alpha = 2**-53 it raised.
+    calls = []
+
+    def record(t, df, ncp):
+        calls.append(t.tolist())
+        return np.zeros(2)
+
+    monkeypatch.setattr(power, "noncentral_t_cdf", record)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for alpha in (1e-10, 1e-17, 1e-100):
+            for n in (2, 3, 16, 50, 394):
+                power_two_sample(n, 1.0, alpha)
+                below, t_crit = calls.pop()
+                assert below == -t_crit
+                df = 2 * n - 2
+                exact = mpmath.exp(mpmath.findroot(
+                    lambda u: mpmath.log(mpmath.betainc(
+                        df / 2, 0.5, 0, df / (df + mpmath.exp(2 * u)), regularized=True)
+                        / alpha),
+                    math.log(t_crit)))
+                worst = max(worst, abs(float(t_crit / exact - 1)))
+    assert worst <= 1e-14
+
+
 def test_t_quantile_domain_and_far_tail():
     for p in (0.0, 1.0, math.nan):
         with pytest.raises(DomainError):
@@ -101,11 +130,12 @@ class TestSolveN:
         assert solve_n(0.9, 1.0, 0.05) > solve_n(0.5, 1.0, 0.05)
 
     def test_is_the_smallest_such_n(self):
-        for target, d in [(0.8, 0.5), (0.33, 1.0), (0.95, 0.25)]:
-            n = solve_n(target, d, 0.05)
-            assert power_two_sample(n, d, 0.05) >= target
+        for target, d, alpha in [(0.8, 0.5, 0.05), (0.33, 1.0, 0.05), (0.95, 0.25, 0.05),
+                                 (0.8, 1.0, 1e-300)]:
+            n = solve_n(target, d, alpha)
+            assert power_two_sample(n, d, alpha) >= target
             if n > 2:
-                assert power_two_sample(n - 1, d, 0.05) < target
+                assert power_two_sample(n - 1, d, alpha) < target
 
     def test_never_overshoots(self):
         for n in (3, 5, 8, 16, 33):
