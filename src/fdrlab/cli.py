@@ -17,9 +17,9 @@ simulation subcommands.
 Every flag value is checked by the library's own rule (`fdrlab.errors`:
 `finite`, `positive`, `probability`, `open_probability`,
 `integer_at_least`, `uint64_value`; `fdrlab.montecarlo` for grid bounds,
-bin widths, curve sizes and threads) through one adapter, `_flag`, so a
-value the library would reject exits 2 naming the flag.  The parser is
-built once per process.
+bin widths, curve sizes, threads and simulated means and sds) through one
+adapter, `_flag`, so a value the library would reject exits 2 naming the
+flag.  The parser is built once per process.
 """
 
 from __future__ import annotations
@@ -259,7 +259,8 @@ def _add_format(parser) -> None:
 
 
 def _add_sim_common(parser) -> None:
-    parser.add_argument("--sd", type=_flag(float, positive), default=1.0,
+    parser.add_argument("--sd", default=1.0,
+                        type=_flag(float, lambda value: mc.simulated_scale(positive(value))),
                         help="common true standard deviation (default 1)")
     parser.add_argument("--n-sims", type=_int_at_least(1), default=100_000,
                         help="number of simulated experiments (default 100000)")
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
              "with seed+1)",
     )
     p.add_argument("--n-per-group", type=_int_at_least(2), required=True)
-    p.add_argument("--delta", type=_flag(float, finite), required=True,
+    p.add_argument("--delta", type=_flag(float, mc.simulated_scale), required=True,
                    help="true treatment-minus-control mean difference")
     _add_sim_common(p)
     p.add_argument("--prevalence", type=_flag(float, probability), default=None,
@@ -361,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=_DEFAULT_N_LIST, metavar="N1,N2,...",
                    help="per-group sample sizes (default "
                         + ",".join(str(n) for n in _DEFAULT_N_LIST) + ")")
-    p.add_argument("--delta", type=_flag(float, finite), default=1.0,
+    p.add_argument("--delta", type=_flag(float, mc.simulated_scale), default=1.0,
                    help="true treatment-minus-control mean difference (default 1)")
     _add_sim_common(p)
     _add_format(p)

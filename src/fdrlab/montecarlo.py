@@ -19,10 +19,11 @@ P values are binned on a fixed 0.001 grid at collection time (bin k covers
 the half-open cell (k/1000, (k+1)/1000]), so a batch has flat memory cost
 and any grid-aligned interval count is exact.
 
-The input rules for grid bounds, histogram bin widths, curve sample sizes
-and thread counts live here once each (`grid_index`, `grid_interval`,
-`histogram_ticks`, `curve_sizes`, `thread_count`); the CLI calls the same
-functions for its flags.
+The input rules for grid bounds, histogram bin widths, curve sample sizes,
+thread counts and simulated means and sds live here once each
+(`grid_index`, `grid_interval`, `histogram_ticks`, `curve_sizes`,
+`thread_count`, `simulated_scale`); the CLI calls the same functions for
+its flags.
 """
 
 from __future__ import annotations
@@ -108,6 +109,21 @@ def thread_count(threads: int | None) -> int:
     return int(threads)
 
 
+# Largest magnitude of a simulated mean or sd.  A chunk squares deviations
+# and differences, which overflows once they pass about 1e154; 1e100 leaves
+# room for the normal draws (|z| < 8.3) and for sums over n and n_sims.
+_MAX_SCALE = 1e100
+
+
+def simulated_scale(value, name: str = "value", error: type = DomainError) -> float:
+    """`value` as a float, if it is finite and at most 1e100 in magnitude:
+    the rule for a simulated mean or sd."""
+    value = finite(value, name, error)
+    if abs(value) > _MAX_SCALE:
+        raise error(f"{name} must be at most {_MAX_SCALE:g} in magnitude; got {value}")
+    return value
+
+
 def curve_sizes(n_values: Sequence[int]) -> list[int]:
     """The per-group sample sizes of an inflation curve as ints; there must
     be at least one, and every one an integer >= 3."""
@@ -137,9 +153,9 @@ class SimConfig:
                            integer_at_least(self.n_per_group, 2, "n_per_group", error))
         object.__setattr__(self, "n_sims",
                            integer_at_least(self.n_sims, 1, "n_sims", error))
-        finite(self.true_mean_control, "true_mean_control", error)
-        finite(self.true_mean_treatment, "true_mean_treatment", error)
-        positive(self.sd, "sd", error)
+        simulated_scale(self.true_mean_control, "true_mean_control", error)
+        simulated_scale(self.true_mean_treatment, "true_mean_treatment", error)
+        simulated_scale(positive(self.sd, "sd", error), "sd", error)
         open_probability(self.alpha, "alpha", error)
         object.__setattr__(self, "master_seed",
                            uint64_value(self.master_seed, "master_seed", error))
@@ -199,7 +215,8 @@ class SimSummary:
         }
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        """`to_dict` as strict JSON; a NaN or infinity raises ValueError."""
+        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
 
 
 def _simulate_chunk(config: SimConfig, start: int, stop: int) -> tuple[tuple, np.ndarray]:

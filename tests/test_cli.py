@@ -419,6 +419,20 @@ def test_every_typed_flag_rejects_non_finite_values(capsys, value):
     assert checked == 31  # screen 4, fdr 4, berger 2, power 4, simulate 10, inflation 7
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n-per-group", "4", "--delta", "1", "--sd", "1e300"],
+    ["simulate", "--n-per-group", "4", "--delta=-1.1e100"],
+    ["inflation", "--sd", "1e300"],
+    ["inflation", "--delta", "1.1e100"],
+])
+def test_simulated_scale_above_1e100_exits_2(capsys, argv):
+    # the rule SimConfig applies, montecarlo.simulated_scale
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "value must be at most 1e+100 in magnitude" in capsys.readouterr().err
+
+
 def test_json_round_trips_losslessly(capsys):
     data = run_json(capsys, "fdr", "--prevalence", "0.123456789",
                     "--power", "0.8", "--alpha", "0.05")
@@ -447,7 +461,8 @@ def test_json_writes_null_for_nan_and_infinity(capsys, argv, key):
 @pytest.mark.parametrize("argv, expected", [
     (["fdr", "--prevalence", "0.1", "--power", "0.01", "--alpha", "0.05"],
      "power (0.01) below alpha (0.05): test performs worse than chance"),
-    (["simulate", "--n-per-group", "3", "--delta", "0", "--sd", "1e300",
+    # t = diff / se is about 1e250 here, and its square overflows
+    (["simulate", "--n-per-group", "3", "--delta", "1e100", "--sd", "1e-150",
       "--n-sims", "10", "--threads", "1"], "overflow encountered"),
 ], ids=["fdr", "simulate"])
 def test_library_warning_prints_as_one_warning_line(argv, expected):

@@ -3,6 +3,7 @@ t-test path, histogram/interval bookkeeping, mixture arithmetic, and the
 inflation statistic against a truncated-normal quadrature oracle.
 """
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -410,11 +411,25 @@ def test_config_validation():
             SimConfig(n_per_group=4, n_sims=n_sims)
     with pytest.raises(ConfigurationError):
         SimConfig(n_per_group=4, sd=0.0)
+    # a chunk squares deviations and differences: the scale stops at 1e100
+    for field, value in (("sd", 1.1e100), ("true_mean_control", -1.1e100),
+                         ("true_mean_treatment", 1e300)):
+        with pytest.raises(ConfigurationError, match=f"{field} must be at most 1e"):
+            SimConfig(n_per_group=4, **{field: value})
+    SimConfig(n_per_group=4, true_mean_control=1e100, true_mean_treatment=-1e100, sd=1e100)
     with pytest.raises(ConfigurationError):
         SimConfig(n_per_group=4, alpha=1.0)
     for seed in (-1, 1.5, 2 ** 64):
         with pytest.raises(ConfigurationError):
             SimConfig(n_per_group=4, master_seed=seed)
+
+
+def test_to_json_is_strict():
+    # no NaN or Infinity token: a non-finite float field raises instead
+    summary = run_batch(SimConfig(n_per_group=3, n_sims=10))
+    for field in ("mean_diff_all", "sd_diff_all"):
+        with pytest.raises(ValueError):
+            dataclasses.replace(summary, **{field: math.inf}).to_json()
 
 
 def test_numpy_integers_in_config_serialise_as_ints():
