@@ -350,8 +350,9 @@ def _betacf(a: float, b: float, x):
             if stop:
                 return h
         else:
-            np.copyto(out, h, where=stop & running)
-            running &= ~stop
+            stop &= running
+            np.copyto(out, h, where=stop)
+            running ^= stop
             if not running.any():
                 return out
     raise FdrLabError(
