@@ -18,8 +18,8 @@ Philox4x64-10, bit for bit, and leaves the streams themselves untouched.
 
 The simulation's kernels here, `block_uniforms` and `normal_quantile`,
 take their scratch arrays from numpy one row tile of about 2**16 elements
-at a time.  Beside a chunk's uniforms (4096 * 2n doubles, n rounded up to
-an even number) they hold a few MiB of scratch, whatever n is.
+at a time, so beside the uniforms themselves they hold a few MiB of
+scratch, however many uniforms there are.
 """
 
 from __future__ import annotations
@@ -136,9 +136,8 @@ def _erfc(x: np.ndarray) -> np.ndarray:
     is `normal_cdf`.
 
     y = |x| falls in three regions, y <= 0.46875, 0.46875 < y <= 4 and
-    y > 4.  Each region's elements are gathered (unless they are all of y)
-    and only that region's formula runs on them; then x < 0 takes
-    erfc(x) = 2 - erfc(-x).
+    y > 4.  Each region's elements are gathered, and only that region's
+    formula runs on them; then x < 0 takes erfc(x) = 2 - erfc(-x).
     """
     # erfc(y) < 5e-324 for y > 27.3; clamp to avoid pointless overflow warnings
     y = np.minimum(np.abs(x), 30.0)
@@ -147,9 +146,7 @@ def _erfc(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(y)
     for region, formula in ((low, _erfc_small_y), (~(low | high), _erfc_medium_y),
                             (high, _erfc_large_y)):
-        if region.all():
-            out[...] = formula(y)
-        elif region.any():
+        if region.any():
             out[region] = formula(y[region])
     return np.subtract(2.0, out, out=out, where=x < 0.0)
 
@@ -438,21 +435,15 @@ def regularized_incomplete_beta(a, b, x):
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise DomainError("x must lie in [0, 1]")
 
-    out = np.zeros_like(arr)
-    out[arr >= 1.0] = 1.0
-    interior = (arr > 0.0) & (arr < 1.0)
-    if np.any(interior):
-        xi = arr[interior]
-        front = np.exp(a * np.log(xi) + b * np.log1p(-xi) - _lbeta(a, b))
-        res = np.empty_like(xi)
-        direct = xi < (a + 1.0) / (a + b + 2.0)
-        if np.any(direct):
-            res[direct] = front[direct] * _betacf(a, b, xi[direct]) / a
-        comp = ~direct
-        if np.any(comp):
-            res[comp] = 1.0 - front[comp] * _betacf(b, a, 1.0 - xi[comp]) / b
-        out[interior] = np.clip(res, 0.0, 1.0)
-    return out
+    # the front factor is exp(-inf) = 0 at x = 0 and 1: the formula gives 0, 1
+    with np.errstate(divide="ignore"):
+        front = np.exp(a * np.log(arr) + b * np.log1p(-arr) - _lbeta(a, b))
+    out = np.empty_like(arr)
+    direct = arr < (a + 1.0) / (a + b + 2.0)
+    out[direct] = front[direct] * _betacf(a, b, arr[direct]) / a
+    comp = ~direct
+    out[comp] = 1.0 - front[comp] * _betacf(b, a, 1.0 - arr[comp]) / b
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def _betainc_scalar(a: float, b: float, x: float) -> float:
@@ -476,8 +467,8 @@ def student_t_cdf(t, df):
     # P(T <= -|t|) = I_x(df/2, 1/2) / 2 at x = df / (df + t^2).  For t^2 < 3
     # it is 1/2 - I_y(1/2, df/2) / 2 at y = t^2 / (df + t^2) instead: there
     # x is near 1, and the 1 - x the incomplete beta would form loses the
-    # digits of y.  The branch not taken gets y = 0 or x = 1, which the
-    # incomplete beta returns at once.
+    # digits of y.  The branch not taken gets y = 0 or x = 1, where the
+    # incomplete beta's front factor is 0 and it gives 0 or 1.
     tt = arr * arr
     central = tt < 3.0
     near = 0.5 - 0.5 * regularized_incomplete_beta(

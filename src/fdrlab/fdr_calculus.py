@@ -255,7 +255,7 @@ def alpha_for_target_fdr(target: float) -> float:
     return math.exp(mid)
 
 
-def berger_table(p_values=BERGER_TABLE_P) -> list[dict]:
+def berger_table() -> list[dict]:
     """Calibration rows (p, minimum Bayes factor, minimum FDR)."""
     return [
         {
@@ -263,5 +263,5 @@ def berger_table(p_values=BERGER_TABLE_P) -> list[dict]:
             "min_bayes_factor": berger_min_bayes_factor(p),
             "min_fdr": berger_min_fdr(p),
         }
-        for p in p_values
+        for p in BERGER_TABLE_P
     ]

@@ -8,12 +8,11 @@ aggregates are merged strictly in chunk order.  A chunk builds one stream
 per experiment (cheap: a stream builds its numpy generator only on its first
 own `uniforms` call) and draws all of them with one vectorised
 `block_uniforms` call, which gives the bits each stream's `uniforms` would.
-A chunk's uniforms, normal quantiles and t tests allocate their arrays
-from numpy as they go; the uniform and quantile kernels work in tiles of
-about 2**16 elements, so beside its uniforms a chunk holds a few MiB of
-scratch whatever n is.  Chunk ranges are generated lazily and at most
-2 * threads chunks are in flight, so memory does not grow with the batch
-size.
+A chunk past n = 64 takes its rows in slices of at most 2**19 uniforms,
+with the same bits, and the uniform and quantile kernels work in tiles of
+about 2**16 elements, so a chunk holds about 10 MiB at most whatever n is.
+Chunk ranges are generated lazily and at most 2 * threads chunks are in
+flight, so memory does not grow with the batch size either.
 
 P values are binned on a fixed 0.001 grid at collection time (bin k covers
 the half-open cell (k/1000, (k+1)/1000]), so a batch has flat memory cost
@@ -51,6 +50,11 @@ DEFAULT_MASTER_SEED = 12345
 # determines summation order, so changing this constant would perturb last
 # bits of the moment sums.
 _CHUNK = 4096
+
+# Most uniforms (4 MiB) a chunk draws, transforms and tests at once: past n =
+# 64 it takes its rows in slices.  A row's p and diff depend on its key
+# alone, and the sums run over the whole chunk, so slices change no bit.
+_UNIFORM_BUDGET = 2 ** 19
 
 # Version of the simulated stream: the uniforms, the normal quantile, the
 # t test and its p value, and the chunk layout above.  Within a version a
@@ -93,8 +97,8 @@ def histogram_ticks(bin_width: float) -> int:
 
 
 # Most worker threads `run_batch` accepts.  Threads never change a result,
-# and past the core count they buy nothing; each one running a chunk holds a
-# few arrays of 4096 * 2n doubles, and 2 * threads chunks may be in flight.
+# and past the core count they buy nothing; each one running a chunk holds
+# about 10 MiB at most, and 2 * threads chunks may be in flight.
 MAX_THREADS = 256
 
 
@@ -214,9 +218,9 @@ class SimSummary:
             "stream_version": STREAM_VERSION,
         }
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """`to_dict` as strict JSON; a NaN or infinity raises ValueError."""
-        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 def _simulate_chunk(config: SimConfig, start: int, stop: int) -> tuple[tuple, np.ndarray]:
@@ -225,21 +229,22 @@ def _simulate_chunk(config: SimConfig, start: int, stop: int) -> tuple[tuple, np
     wrong-sign count) and their 0.001-grid p histogram."""
     n = config.n_per_group
     m = stop - start
-    u = block_uniforms([RngStream(config.master_seed, index)
-                        for index in range(start, stop)], 2 * n)
-    z = normal_quantile(u, out=u)
-    z *= config.sd
-    control, treatment = z[:, :n], z[:, n:]
-    control += config.true_mean_control
-    treatment += config.true_mean_treatment
-    _, _, p, diff, _ = batch_two_sample_t(control, treatment)
+    p, diff = np.empty(m), np.empty(m)
+    step = max(1, _UNIFORM_BUDGET // (2 * n))
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        z = block_uniforms([RngStream(config.master_seed, index)
+                            for index in range(start + lo, start + hi)], 2 * n)
+        normal_quantile(z, out=z)
+        z *= config.sd
+        z[:, :n] += config.true_mean_control
+        z[:, n:] += config.true_mean_treatment
+        _, _, p[lo:hi], diff[lo:hi], _ = batch_two_sample_t(z[:, :n], z[:, n:])
+        del z  # before the next slice is drawn
 
     sig = p <= config.alpha
-    true_sign = np.sign(config.true_diff)
-    if true_sign == 0.0:
-        wrong = 0
-    else:
-        wrong = int(np.count_nonzero(sig & (np.sign(diff) == -true_sign)))
+    # diff == 0 means p == 1, so a true difference of 0 counts no wrong sign
+    wrong = int(np.count_nonzero(sig & (np.sign(diff) == -np.sign(config.true_diff))))
 
     hist = np.bincount(np.searchsorted(_BIN_EDGES, p, side="left") - 1,
                        minlength=_N_BINS).astype(np.int64)
@@ -252,10 +257,6 @@ def _partials(config: SimConfig, threads: int) -> Iterator[tuple[tuple, np.ndarr
     """Chunk partials in chunk order, with at most 2 * threads in flight."""
     ranges = ((start, min(start + _CHUNK, config.n_sims))
               for start in range(0, config.n_sims, _CHUNK))
-    if threads <= 1 or config.n_sims <= _CHUNK:
-        for a, b in ranges:
-            yield _simulate_chunk(config, a, b)
-        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
         for a, b in ranges:

@@ -95,7 +95,10 @@ def batch_two_sample_t(group1: np.ndarray, group2: np.ndarray):
     t = diff / se
     # Two-sided p by the incomplete-beta identity, algebraically equal to
     # 2 * (1 - student_t_cdf(|t|, df)) but evaluated in one stable step.
-    p = np.asarray(regularized_incomplete_beta(0.5 * df, 0.5, df / (df + t * t)))
+    # Past |t| = 1.3e154, t * t overflows, rightly giving x = 0 and p floored.
+    with np.errstate(over="ignore"):
+        x = df / (df + t * t)
+    p = np.asarray(regularized_incomplete_beta(0.5 * df, 0.5, x))
     np.maximum(p, _P_FLOOR, out=p)
     return t, float(df), p, diff, se
 

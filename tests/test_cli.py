@@ -461,9 +461,11 @@ def test_json_writes_null_for_nan_and_infinity(capsys, argv, key):
 @pytest.mark.parametrize("argv, expected", [
     (["fdr", "--prevalence", "0.1", "--power", "0.01", "--alpha", "0.05"],
      "power (0.01) below alpha (0.05): test performs worse than chance"),
-    # t = diff / se is about 1e250 here, and its square overflows
-    (["simulate", "--n-per-group", "3", "--delta", "1e100", "--sd", "1e-150",
-      "--n-sims", "10", "--threads", "1"], "overflow encountered"),
+    # at this seed the effect batch has 6 significant tests of 200, and the
+    # null batch 12
+    (["simulate", "--n-per-group", "3", "--delta", "0.1", "--prevalence", "0.5",
+      "--n-sims", "200", "--seed", "3", "--threads", "1"],
+     "power (0.03) below alpha (0.06): test performs worse than chance"),
 ], ids=["fdr", "simulate"])
 def test_library_warning_prints_as_one_warning_line(argv, expected):
     # A subprocess, because the suite turns every warning into an error.

@@ -86,7 +86,7 @@ class TestNormalCdf:
         array = normal_cdf(self.INPUTS)
         scalar = np.array([normal_cdf(x) for x in self.INPUTS])
         assert np.array_equal(array.view(np.uint64), scalar.view(np.uint64))
-        # an array wholly in one erfc region is not gathered
+        # an array wholly in one erfc region gives the same bits
         y = np.abs(self.INPUTS) / math.sqrt(2.0)
         for region in (y <= 0.46875, (y > 0.46875) & (y <= 4.0), y > 4.0):
             assert 0 < np.count_nonzero(region) < len(y)
@@ -231,6 +231,14 @@ class TestIncompleteBeta:
             value = regularized_incomplete_beta(2.0, 3.0, x)
             assert isinstance(value, float)
             assert value == pytest.approx(scipy.special.betainc(2.0, 3.0, x), abs=1e-15)
+        # the ends of [0, 1] and the smallest subnormal take the array
+        # formula, whose front factor is 0 at x = 0 and x = 1
+        for a, b in ((2.0, 3.0), (0.5, 0.5), (15.0, 0.5), (0.5, 15.0)):
+            edges = [-0.0, 0.0, 5e-324, 1.0]
+            array = regularized_incomplete_beta(a, b, np.array(edges))
+            assert array.tolist() == pytest.approx(
+                [regularized_incomplete_beta(a, b, x) for x in edges], rel=1e-14, abs=0.0)
+            assert array[0] == 0.0 and array[1] == 0.0 and array[3] == 1.0
 
     def test_array_fraction_equals_float_fraction(self):
         # each element of an array stops at its own first converged step, so

@@ -110,10 +110,28 @@ def test_batch_digests_pinned_across_n_seeds_and_threads():
 
 
 @pytest.mark.parametrize("n", [3, 16, 50])
+def test_sliced_chunks_give_the_pinned_bits(monkeypatch, n):
+    # slices of 2**12 uniforms: 682, 128 and 40 rows, the last slice of each
+    # chunk short
+    monkeypatch.setattr(montecarlo, "_UNIFORM_BUDGET", 2 ** 12)
+    cfg = SimConfig(n_per_group=n, true_mean_treatment=0.5, n_sims=8199, master_seed=0)
+    text = run_batch(cfg, threads=2).to_json()
+    digest = _BATCH_DIGESTS[montecarlo.STREAM_VERSION][(n, 0)]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # and slices of one row
+    cfg = dataclasses.replace(cfg, true_mean_treatment=1.0)
+    whole = montecarlo._simulate_chunk(cfg, 5, 70)
+    monkeypatch.setattr(montecarlo, "_UNIFORM_BUDGET", 2 * n)
+    rows = montecarlo._simulate_chunk(cfg, 5, 70)
+    assert rows[0] == whole[0] and np.array_equal(rows[1], whole[1])
+
+
+@pytest.mark.parametrize("n", [3, 16, 50, 2000])
 def test_chunk_scratch_stays_within_tiles(n):
-    # the kernels allocate as they go, but over row tiles: beside the
-    # uniforms (4096 rows of 2n draws, padded to whole Philox blocks of 4),
-    # a chunk never holds more than a dozen tiles of scratch
+    # the kernels allocate as they go, but over row tiles: beside one
+    # slice's uniforms (at most 4096 rows and about 2**19 draws, padded to
+    # whole Philox blocks of 4), a chunk never holds more than a dozen tiles
+    # of scratch, whatever n is
     cfg = SimConfig(n_per_group=n, true_mean_treatment=1.0, n_sims=4096, master_seed=3)
     first = montecarlo._simulate_chunk(cfg, 0, 4096)
     tracemalloc.start()
@@ -123,7 +141,8 @@ def test_chunk_scratch_stays_within_tiles(n):
     finally:
         tracemalloc.stop()
     assert first[0] == second[0] and np.array_equal(first[1], second[1])
-    uniform_bytes = 4096 * 4 * -(-2 * n // 4) * 8
+    rows = min(4096, montecarlo._UNIFORM_BUDGET // (2 * n))
+    uniform_bytes = rows * 4 * -(-2 * n // 4) * 8
     assert peak <= uniform_bytes + 12 * distributions._TILE * 8
 
 
@@ -151,9 +170,9 @@ def test_chunks_are_submitted_lazily(monkeypatch):
     monkeypatch.setattr(montecarlo, "_simulate_chunk", fake_chunk)
     chunk = montecarlo._CHUNK
     cfg = SimConfig(n_per_group=3, n_sims=1000 * chunk)
-    # taking 3 partials submits 3 chunks in series; with a pool, the first
-    # 2 * threads and one more per partial taken after the first
-    for threads, submitted in ((1, 3), (2, 6)):
+    # taking 3 partials submits the first 2 * threads chunks and one more per
+    # partial taken after the first
+    for threads, submitted in ((1, 4), (2, 6)):
         started.clear()
         partials = montecarlo._partials(cfg, threads)
         first = [next(partials) for _ in range(3)]

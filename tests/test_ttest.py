@@ -138,6 +138,17 @@ def test_degenerate_and_domain_errors():
             batch_two_sample_t(group1, group2)
 
 
+def test_p_value_floored_past_t_squared_overflow():
+    # diff 1e100 over se about 1e-150: t * t overflows to inf, x = 0, and p
+    # is the floor, without a warning (the suite makes a warning an error)
+    group1 = np.array([[0.0, 1e-150, 2e-150], [0.0, 1.0, 2.0]])
+    group2 = group1 + np.array([[1e100], [1.0]])
+    t, _, p, _, _ = batch_two_sample_t(group1, group2)
+    assert 1e250 < t[0] < 1e251
+    assert p[0] == np.finfo(np.float64).tiny
+    assert p[1] == two_sample_t(group1[1], group2[1]).p_two_sided
+
+
 # SHA-256 of `batch_two_sample_t`'s p values over seeded 4096-row chunks,
 # drawn as the simulation draws them, at n = 3, 16 and 50 and true
 # differences 0 and 1, hashed in that order.  The p value is part of the
