@@ -240,7 +240,7 @@ def _simulate_chunk(config: SimConfig, start: int, stop: int) -> tuple[tuple, np
         z[:, :n] += config.true_mean_control
         z[:, n:] += config.true_mean_treatment
         _, _, p[lo:hi], diff[lo:hi], _ = batch_two_sample_t(z[:, :n], z[:, n:])
-        del z  # before the next slice is drawn
+        del z  # so that two slices' uniforms are never held at once
 
     sig = p <= config.alpha
     # diff == 0 means p == 1, so a true difference of 0 counts no wrong sign

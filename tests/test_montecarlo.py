@@ -111,8 +111,7 @@ def test_batch_digests_pinned_across_n_seeds_and_threads():
 
 @pytest.mark.parametrize("n", [3, 16, 50])
 def test_sliced_chunks_give_the_pinned_bits(monkeypatch, n):
-    # slices of 2**12 uniforms: 682, 128 and 40 rows, the last slice of each
-    # chunk short
+    # slices of 2**12 uniforms: 682, 128 and 40 rows
     monkeypatch.setattr(montecarlo, "_UNIFORM_BUDGET", 2 ** 12)
     cfg = SimConfig(n_per_group=n, true_mean_treatment=0.5, n_sims=8199, master_seed=0)
     text = run_batch(cfg, threads=2).to_json()
