@@ -10,7 +10,7 @@ own `uniforms` call) and draws all of them with one vectorised
 `block_uniforms` call, which gives the bits each stream's `uniforms` would.
 A chunk past n = 64 takes its rows in slices of at most 2**19 uniforms,
 with the same bits, and the uniform and quantile kernels work in tiles of
-about 2**16 elements, so a chunk holds about 10 MiB at most whatever n is.
+about 2**16 elements, so a chunk holds about 10 MiB at most up to n = 2**18.
 Chunk ranges are generated lazily and at most 2 * threads chunks are in
 flight, so memory does not grow with the batch size either.
 
@@ -98,7 +98,7 @@ def histogram_ticks(bin_width: float) -> int:
 
 # Most worker threads `run_batch` accepts.  Threads never change a result,
 # and past the core count they buy nothing; each one running a chunk holds
-# about 10 MiB at most, and 2 * threads chunks may be in flight.
+# about 10 MiB up to n = 2**18, and 2 * threads chunks may be in flight.
 MAX_THREADS = 256
 
 
