@@ -51,9 +51,9 @@ DEFAULT_MASTER_SEED = 12345
 # bits of the moment sums.
 _CHUNK = 4096
 
-# Most uniforms (4 MiB) a chunk draws, transforms and tests at once: past n =
-# 64 it takes its rows in slices.  A row's p and diff depend on its key
-# alone, and the sums run over the whole chunk, so slices change no bit.
+# Most uniforms (4 MiB) a chunk draws, transforms and tests at once, so a
+# chunk past n = 64 takes its rows in slices.  A row's p and diff depend on
+# its key alone, and the sums run over the whole chunk: slices change no bit.
 _UNIFORM_BUDGET = 2 ** 19
 
 # Version of the simulated stream: the uniforms, the normal quantile, the
