@@ -233,32 +233,27 @@ def _as241(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     q = np.subtract(p, 0.5, out=np.empty_like(p))
     scratch = np.abs(q, out=np.empty_like(p))
     tail = scratch > _AS241_Q_CENTRAL
-    n_tail = int(np.count_nonzero(tail))
     # the tails need q and s = min(p, 1 - p), where 1 - p is 0.5 - q
     # exactly for p > 1/2
-    if n_tail == p.size:
+    if tail.all():
         # all in the tails, as a single value often is: nothing to gather,
         # and `_horner` takes its scalar route on 0-d input
+        tail = ...  # out[...] is all of `out`, 0-d included
         q_tail = q
         s_tail = np.minimum(p, np.subtract(0.5, q, out=scratch), out=scratch)
-    elif n_tail:
+    else:
+        # with no p in a tail, the gathers are empty
         q_tail = q[tail]
         s_tail = np.minimum(p[tail], 0.5 - q_tail)
-
-    if n_tail < p.size:
         r = np.multiply(q, q, out=scratch)
         np.subtract(_AS241_R_CENTRAL, r, out=r)
         num = _horner(_AS241_A, r)
         num *= q
         np.divide(num, _horner(_AS241_B, r, q), out=out)
 
-    if n_tail:
-        x_tail = _as241_tail(s_tail)
-        np.negative(x_tail, out=x_tail, where=q_tail < 0.0)
-        if n_tail == p.size:
-            np.copyto(out, x_tail)
-        else:
-            out[tail] = x_tail
+    x_tail = _as241_tail(s_tail)
+    np.negative(x_tail, out=x_tail, where=q_tail < 0.0)
+    out[tail] = x_tail
     return out
 
 
@@ -271,7 +266,7 @@ def _as241_tail(s: np.ndarray) -> np.ndarray:
     shifted = r - _AS241_R_MID
     x = _horner(_AS241_C, shifted)
     x /= _horner(_AS241_D, shifted)
-    if r.max() > _AS241_R_FAR:
+    if r.max(initial=0.0) > _AS241_R_FAR:  # `s` may be empty
         # p below about 1.4e-11: rare among simulated draws, so gathered
         far = r > _AS241_R_FAR
         rf = r[far] - _AS241_R_FAR
@@ -566,7 +561,10 @@ def _nct_cdf_quadrature(t: np.ndarray, df: float, delta: float) -> np.ndarray:
     half = 0.5 * np.diff(edges)[:, None]
     y = (half * _NCT_NODES + (edges[:-1, None] + half)).ravel()
     mass = (half * _NCT_WEIGHTS).ravel() * np.exp(df * (y - 0.5 * np.expm1(2.0 * y)))
-    phi = normal_cdf(t[:, None] * np.exp(y) - delta)
+    # Phi as `normal_cdf` forms it; a t*W past the double range is +-inf,
+    # which `_erfc` maps to 0 or 2
+    with np.errstate(over="ignore"):
+        phi = 0.5 * _erfc(-(t[:, None] * np.exp(y) - delta) / _SQRT2)
     return np.clip(phi @ mass / mass.sum(), 0.0, 1.0)
 
 
@@ -593,28 +591,29 @@ class RngStream:
     stream's own `uniforms` always starts at its first draw.
     """
 
-    __slots__ = ("master_seed", "stream_index", "_gen")
+    __slots__ = ("master_seed", "stream_index", "_bits")
 
     def __init__(self, master_seed: int, stream_index: int = 0):
         self.master_seed = uint64_value(master_seed, "master_seed")
         self.stream_index = uint64_value(stream_index, "stream_index")
-        self._gen = None
+        self._bits = None
 
     def __repr__(self):
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
 
-    def _generator(self) -> np.random.Generator:
-        if self._gen is None:
-            key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
-        return self._gen
-
     def uniforms(self, size=None):
         """Draw uniforms in (0, 1), advancing the stream."""
-        u = self._generator().random(size)
-        u = u + _U_SHIFT
+        if self._bits is None:
+            key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
+            self._bits = np.random.Philox(key=key)
+        # numpy's double, the top 53 bits times 2**-53, formed from the raw
+        # words as in `block_uniforms`: NEP 19 keeps a bit generator's raw
+        # stream stable across numpy releases, but not `Generator`'s methods
+        words = self._bits.random_raw(size)
         if size is None:
-            return min(float(u), _U_MAX)
+            return min((words >> 11) * 2.0 ** -53 + _U_SHIFT, _U_MAX)
+        u = np.multiply(words >> np.uint64(11), 2.0 ** -53)
+        u += _U_SHIFT
         return np.minimum(u, _U_MAX, out=u)
 
 

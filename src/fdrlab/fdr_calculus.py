@@ -189,10 +189,9 @@ def posterior_odds(scenario: TestScenario) -> OddsResult:
     """Odds view of `significance_breakdown`.
 
     posterior odds = prior odds on the null times the likelihood ratio
-    alpha/power.  The FDR field is evaluated as fp/(fp+tp) rather than
-    OR/(1+OR): the two are algebraically identical, but the mass form stays
-    exact when the prior odds are infinite (prevalence 0) and matches
-    `significance_breakdown` to the last bit.
+    alpha/power.  The FDR field is `significance_breakdown`'s fp/(fp+tp)
+    rather than OR/(1+OR): the two are algebraically identical, but the mass
+    form stays exact when the prior odds are infinite (prevalence 0).
     """
     if scenario.power <= 0.0:
         raise DomainError("power must be positive to form a likelihood ratio")
@@ -203,12 +202,9 @@ def posterior_odds(scenario: TestScenario) -> OddsResult:
     else:
         prior = (1.0 - scenario.prevalence) / scenario.prevalence
         post = prior * lr
-    fp = (1.0 - scenario.prevalence) * scenario.alpha
-    tp = scenario.prevalence * scenario.power
-    if fp + tp <= 0.0:
-        raise UndefinedResultError("no positive results are possible")
     return OddsResult(prior_odds_h0=prior, likelihood_ratio_h0_h1=lr,
-                      posterior_odds_h0=post, fdr=fp / (fp + tp))
+                      posterior_odds_h0=post,
+                      fdr=significance_breakdown(scenario).fdr)
 
 
 def berger_min_bayes_factor(p: float) -> float:
