@@ -464,10 +464,14 @@ def student_t_cdf(t, df):
     # x is near 1, and the 1 - x the incomplete beta would form loses the
     # digits of y.  The branch not taken gets y = 0 or x = 1, where the
     # incomplete beta's front factor is 0 and it gives 0 or 1.
-    tt = arr * arr
+    # Past |t| = 1.3e154, t * t overflows, rightly giving x = 0; y is formed
+    # from the central t^2 alone, so inf / inf never is.
+    with np.errstate(over="ignore"):
+        tt = arr * arr
     central = tt < 3.0
+    tt_central = np.where(central, tt, 0.0)
     near = 0.5 - 0.5 * regularized_incomplete_beta(
-        0.5, 0.5 * df, np.where(central, tt / (df + tt), 0.0))
+        0.5, 0.5 * df, tt_central / (df + tt_central))
     far = 0.5 * regularized_incomplete_beta(
         0.5 * df, 0.5, np.where(central, 1.0, df / (df + tt)))
     tail_half = np.where(central, near, far)

@@ -6,6 +6,12 @@ section) on every run; with ``-s`` they also appear inline as they go by.
 The Monte Carlo criteria run against the fixed-seed 100,000-experiment
 batches from conftest, so every number asserted here is deterministic.
 
+Criterion 13 checks the law of the simulated p value itself: for an
+effect batch P(p <= x) is exactly `power_two_sample(n, d, alpha=x)`, and
+for a null batch p is uniform.  Its batches are conftest's, whose seeds were
+fixed before the criterion existed; a failure is a finding to report with
+its numbers, never a reason to choose another seed.
+
 Erratum: the classic printed calibration table gives 0.465 at p = 0.2.  That
 is a misprint for 0.467: the defining formula alpha(p) = 1/(1 + 1/(-e p ln p))
 gives 0.46666 there, and the same formula reproduces the other five printed
@@ -18,6 +24,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from fdrlab.cli import main as cli_main
 from fdrlab.fdr_calculus import (
@@ -218,3 +225,53 @@ def test_criterion_12_oracle_consistency(null16, eff16):
                    abs(sim_fdr - analytic_fdr) <= 0.01))
     _report(12, "mixture arithmetic equals the closed form; simulation within 3 SE",
             checks)
+
+
+def _chi2_pooled(observed, expected) -> tuple[float, int, float, float]:
+    """Pearson's chi-squared of `observed` against `expected` counts, with
+    adjacent cells pooled until each expected count is at least 5 (a short
+    remainder joins the last cell): the statistic, its degrees of freedom,
+    scipy's p value and the smallest pooled expected count."""
+    pooled_o, pooled_e = [], []
+    o_acc = e_acc = 0.0
+    for o, e in zip(observed, expected):
+        o_acc += o
+        e_acc += e
+        if e_acc >= 5.0:
+            pooled_o.append(o_acc)
+            pooled_e.append(e_acc)
+            o_acc = e_acc = 0.0
+    pooled_o[-1] += o_acc
+    pooled_e[-1] += e_acc
+    o, e = np.array(pooled_o), np.array(pooled_e)
+    stat = float(np.sum((o - e) ** 2 / e))
+    df = len(e) - 1
+    return stat, df, float(scipy.stats.chi2.sf(stat, df)), float(e.min())
+
+
+# A batch fails when its chi-squared p value is below this, fixed before the
+# first run.  Six batches are tested, so under the exact law the chance that
+# any one fails is at most 6 * 1e-4 = 6e-4 (Bonferroni).
+_LAW_P_MIN = 1e-4
+
+
+def test_criterion_13_p_value_law(null16, effect_batches):
+    checks, p_values = [], []
+    # effect batches: the 50 cells of 0.001 at or below 0.05, whose
+    # probabilities are differences of the power at successive alphas, and
+    # one cell for p > 0.05
+    grid = np.arange(1, 51) / 1000.0
+    for n, batch in sorted(effect_batches.items()):
+        cdf = np.array([power_two_sample(n, 1.0, x) for x in grid])
+        probs = np.append(np.diff(cdf, prepend=0.0), 1.0 - cdf[-1])
+        observed = np.append(batch.p_histogram[:50], batch.p_histogram[50:].sum())
+        stat, df, p, e_min = _chi2_pooled(observed, batch.n_sims * probs)
+        p_values.append(f"{p:.3g}")
+        checks.append((f"n={n}, d=1: chi2={stat:.1f} on {df} df, p={p:.3g}, "
+                       f"min expected {e_min:.1f}", p >= _LAW_P_MIN))
+    # the null batch: 20 coarse bins of 0.05, uniform
+    observed = null16.p_histogram.reshape(20, 50).sum(axis=1)
+    stat, df, p, e_min = _chi2_pooled(observed, np.full(20, null16.n_sims / 20))
+    checks.append((f"null n=16: chi2={stat:.1f} on {df} df, p={p:.3g}", p >= _LAW_P_MIN))
+    _report(13, "p value law: chi2 p = " + ", ".join(p_values) + " at n = 3, 4, 8, 16, "
+            f"50 (d = 1) and {p:.3g} for the null; each must be >= {_LAW_P_MIN:g}", checks)

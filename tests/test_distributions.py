@@ -161,10 +161,13 @@ class TestNormalQuantileAccuracy:
         array = normal_quantile(self.INPUTS)
         scalar = np.array([normal_quantile(p) for p in self.INPUTS])
         assert np.array_equal(array.view(np.uint64), scalar.view(np.uint64))
-        # an array wholly in the tails is not gathered
+        # an array wholly in the tails takes its own branch, and one wholly
+        # in the centre the general path with empty tail gathers
         tails = np.abs(self.INPUTS - 0.5) > 0.425
-        assert np.array_equal(normal_quantile(self.INPUTS[tails]).view(np.uint64),
-                              scalar[tails].view(np.uint64))
+        central = (self.INPUTS >= 0.1) & (self.INPUTS <= 0.9)
+        for part in (tails, central):
+            assert np.array_equal(normal_quantile(self.INPUTS[part]).view(np.uint64),
+                                  scalar[part].view(np.uint64))
 
     def test_antisymmetric_where_one_minus_p_is_exact(self):
         # both sides form the same r: 0.180625 - q^2 in the centre, and
@@ -349,6 +352,10 @@ class TestStudentT:
             student_t_cdf(1.0, 0.0)
         with pytest.raises(DomainError):
             student_t_cdf(1.0, -3.0)
+        # any finite t: past |t| = 1.3e154, t * t overflows, without a warning
+        assert (student_t_cdf(1e200, 3.0), student_t_cdf(-1e200, 3.0)) == (1.0, 0.0)
+        assert student_t_cdf(np.array([1e200, -1e200, 2.0]), 3.0).tolist() == [
+            1.0, 0.0, student_t_cdf(2.0, 3.0)]
 
 
 class TestNoncentralT:
@@ -430,6 +437,10 @@ class TestNoncentralT:
     def test_domain(self):
         with pytest.raises(DomainError):
             noncentral_t_cdf(1.0, -1.0, 0.5)
+        # any finite t: a t*W past the double range overflows, without a
+        # warning, to a Phi of 0 or 1
+        assert (noncentral_t_cdf(1e308, 1.0, 0.5), noncentral_t_cdf(-1e308, 1.0, 0.5)) == (
+            1.0, 0.0)
 
 
 def _mpmath_nct_cdf(t, df, ncp):
