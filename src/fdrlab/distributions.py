@@ -132,8 +132,8 @@ _ERFC_MID_MAX = 4.0
 
 
 def _erfc(x: np.ndarray) -> np.ndarray:
-    """Complementary error function, |rel err| ~ few ulps; its only caller
-    is `normal_cdf`.
+    """Complementary error function, |rel err| ~ few ulps, for `normal_cdf`
+    and the noncentral t quadrature; x = +-inf gives 0 or 2.
 
     y = |x| falls in three regions, y <= 0.46875, 0.46875 < y <= 4 and
     y > 4.  Each region's elements are gathered, and only that region's
