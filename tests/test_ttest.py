@@ -170,6 +170,20 @@ def test_p_value_digest():
     assert digest.hexdigest() == _P_DIGESTS[STREAM_VERSION]
 
 
+def test_continued_fraction_p_value_digest():
+    # as above at n = 66 and 100 (a = df / 2 = 65 and 99), where every p
+    # value comes from the incomplete beta's continued fraction.  Not keyed
+    # by STREAM_VERSION: a version that changes only the other paths of the
+    # p value leaves these bits as they are.
+    digest = hashlib.sha256()
+    for n in (66, 100):
+        z = normal_quantile(block_uniforms([RngStream(2025, i) for i in range(4096)], 2 * n))
+        for delta in (0.0, 1.0):
+            digest.update(batch_two_sample_t(z[:, :n], z[:, n:] + delta)[2].tobytes())
+    assert digest.hexdigest() == (
+        "f965d1a4e1a10f1a3f97064880c34ac29f2668bdcfa86891ad1c0438065e97b4")
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["group1", "group2"])
 def test_batch_rejects_non_finite_observations(name, bad):
