@@ -5,7 +5,9 @@ package is pinned by this one file: a rational erfc (Cody's approximation),
 Wichura's AS 241 normal quantile, the regularized incomplete beta via a
 Lentz continued fraction (in numpy for arrays, in `math` floats for one
 value) with a Stirling-difference log beta at large parameters, the
-central Student t CDF through that beta,
+same beta at b = 1/2 and an integer a <= 64 (the t test's even df) as a
+finite sum by Horner wherever that sum is at least 1e-3, with the fraction
+below it, the central Student t CDF through that beta,
 and the noncentral t CDF as one Gauss-Legendre quadrature of
 E[Phi(t*W - ncp)] over log W, W = sqrt(chi2_df / df), for a whole array of t.
 
@@ -415,21 +417,47 @@ def _lbeta(a: float, b: float) -> float:
                       -small * k * _LN2_LO, -small * math.log(m), small))
 
 
+# For b = 1/2 and an integer a, I_x(a, 1/2) = 1 - sqrt(1 - x) * S(x) with
+# S(x) = sum_{k<a} c_k x^k and c_k = (1/2)_k / k! = C(2k, k) / 4^k, a
+# finite sum (Abramowitz and Stegun 26.7.3-4 for even df).  Below _SUM_MIN
+# the difference cancels, and the continued fraction runs instead.  Up to
+# _SUM_A_MAX terms the sum costs a sixth of the fraction or less, as a float
+# and over an array, and its absolute error stays below 4e-16.
+_SUM_A_MAX = 64
+_SUM_MIN = 1e-3
+# c_{_SUM_A_MAX - 1}, ..., c_1, c_0: Horner order, each correctly rounded.
+_SUM_COEFFS = tuple(math.comb(2 * k, k) / 4 ** k for k in range(_SUM_A_MAX - 1, -1, -1))
+
+
 def regularized_incomplete_beta(a, b, x):
     """Regularized incomplete beta I_x(a, b) for scalar a, b > 0.
 
     `x` may be a float or an array with entries in [0, 1]; the result has
-    absolute error below 1e-10 (in practice a few 1e-15).  A float `x` takes
-    a path in `math` floats, free of numpy's per-call overhead.
+    absolute error below 1e-10 (in practice a few 1e-15).  For b = 1/2 and
+    an integer a up to `_SUM_A_MAX`, every value is within 1e-15 absolute
+    and 5e-13 relative of the exact one: a finite sum gives each value of
+    at least `_SUM_MIN`, and the continued fraction the rest.  A float `x`
+    takes a path in `math` floats, free of numpy's per-call overhead, and
+    wherever the sum's value is kept it has the array's bits.
     """
     a = positive(a, "a")
     b = positive(b, "b")
+    terms = _half_sum_terms(a, b)
     if np.ndim(x) == 0:
-        return _betainc_scalar(a, b, probability(x, "x"))
+        return _betainc_scalar(a, b, probability(x, "x"), terms)
     arr, _ = _asarray_checked(x, "x")
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise DomainError("x must lie in [0, 1]")
+    if not terms:
+        return _betainc_fraction(a, b, arr)
+    out = _half_sum(terms, arr)
+    rest = out < _SUM_MIN
+    out[rest] = _betainc_fraction(a, b, arr[rest])
+    return out
 
+
+def _betainc_fraction(a: float, b: float, arr: np.ndarray) -> np.ndarray:
+    """I_x(a, b) over an array by the continued fraction."""
     # the front factor is exp(-inf) = 0 at x = 0 and 1: the formula gives 0, 1
     with np.errstate(divide="ignore"):
         front = np.exp(a * np.log(arr) + b * np.log1p(-arr) - _lbeta(a, b))
@@ -441,15 +469,43 @@ def regularized_incomplete_beta(a, b, x):
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def _betainc_scalar(a: float, b: float, x: float) -> float:
+def _betainc_scalar(a: float, b: float, x: float, terms: int) -> float:
     if x == 0.0 or x == 1.0:
         return x
+    if terms:
+        res = _half_sum(terms, x)
+        if res >= _SUM_MIN:
+            return res
     front = math.exp(a * math.log(x) + b * math.log1p(-x) - _lbeta(a, b))
     if x < (a + 1.0) / (a + b + 2.0):
         res = front * _betacf(a, b, x) / a
     else:
         res = 1.0 - front * _betacf(b, a, 1.0 - x) / b
     return min(1.0, max(0.0, res))
+
+
+def _half_sum_terms(a: float, b: float) -> int:
+    """The number of terms of the finite sum for I_x(a, b), or 0 when the
+    continued fraction serves (a, b)."""
+    return int(a) if b == 0.5 and a <= _SUM_A_MAX and a.is_integer() else 0
+
+
+def _half_sum(terms: int, x):
+    """1 - sqrt(1 - x) * S(x) over S's first `terms` terms, for a float `x`
+    in `math` floats or for an array `x` elementwise.  Both take the same
+    steps in the same order, so each element gets the float's bits."""
+    coeffs = _SUM_COEFFS[_SUM_A_MAX - terms:]
+    if isinstance(x, float):
+        s = coeffs[0]
+        for c in coeffs[1:]:
+            s = s * x + c
+        return 1.0 - math.sqrt(1.0 - x) * s
+    s = np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        s *= x
+        s += c
+    s *= np.sqrt(1.0 - x)
+    return np.subtract(1.0, s, out=s)
 
 
 def student_t_cdf(t, df):

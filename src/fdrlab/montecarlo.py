@@ -5,7 +5,7 @@ i)`, so any slice of a batch can be recomputed independently and the result
 of `run_batch` is bitwise identical no matter how many worker threads run
 it.  Work is sharded into fixed-size chunks of experiment indices; partial
 aggregates are merged strictly in chunk order.  A chunk builds one stream
-per experiment (cheap: a stream builds its numpy generator only on its first
+per experiment (cheap: a stream builds its numpy `Philox` only on its first
 own `uniforms` call) and draws all of them with one vectorised
 `block_uniforms` call, which gives the bits each stream's `uniforms` would.
 A chunk past n = 64 takes its rows in slices of at most 2**19 uniforms,
@@ -60,7 +60,7 @@ _UNIFORM_BUDGET = 2 ** 19
 # t test and its p value, and the chunk layout above.  Within a version a
 # seeded output is bit for bit reproducible; a change to any of those bits
 # bumps it, and CHANGES.md records what each version changed.
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 _N_BINS = 1000
 _BIN_EDGES = np.arange(_N_BINS + 1) / 1000.0

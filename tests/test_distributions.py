@@ -15,6 +15,8 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from fdrlab.distributions import (
+    _SUM_A_MAX,
+    _SUM_MIN,
     RngStream,
     _betacf,
     _lbeta,
@@ -214,6 +216,44 @@ class TestIncompleteBeta:
         for a, b in [(0.5, 0.5), (3.0, 1.5), (15.0, 0.5)]:
             values = regularized_incomplete_beta(a, b, x)
             assert np.all(np.diff(values) >= -1e-15)
+        # and across the finite sum's switch to the continued fraction at
+        # I = _SUM_MIN, on x dense around it, as an array and as floats
+        for a in (15, _SUM_A_MAX):
+            switch = scipy.special.betaincinv(a, 0.5, _SUM_MIN)
+            x = np.linspace(switch * (1.0 - 1e-4), switch * (1.0 + 1e-4), 2001)
+            array = regularized_incomplete_beta(a, 0.5, x)
+            floats = np.array([regularized_incomplete_beta(a, 0.5, v) for v in map(float, x)])
+            assert array.min() < _SUM_MIN <= array.max()
+            for values in (array, floats):
+                assert np.all(np.diff(values) >= -1e-15)
+
+    def test_half_sum_against_mpmath(self):
+        # b = 1/2 and every integer a the finite sum takes, at seeded x on
+        # both sides of its switch at I = _SUM_MIN, as floats and arrays:
+        # the docstring's bounds, and the float's bits wherever the sum's
+        # value is kept.  Where the fraction runs, a float and an array may
+        # differ by the rounding of libm's exp and log against numpy's.
+        rng = np.random.default_rng(17)
+        worst_abs = worst_rel = 0.0
+        kept = 0
+        for a in range(1, _SUM_A_MAX + 1):
+            p = np.concatenate((10.0 ** rng.uniform(-3.0, 0.0, 5),
+                                10.0 ** rng.uniform(-12.0, -3.0, 5),
+                                _SUM_MIN * (1.0 + rng.uniform(-1e-6, 1e-6, 2))))
+            x = scipy.special.betaincinv(a, 0.5, p)
+            array = regularized_incomplete_beta(a, 0.5, x)
+            with mpmath.workdps(40):
+                for v, from_array in zip(map(float, x), array):
+                    value = regularized_incomplete_beta(a, 0.5, v)
+                    if value >= _SUM_MIN:
+                        assert value == from_array
+                        kept += 1
+                    exact = mpmath.betainc(a, 0.5, 0, v, regularized=True)
+                    for err in (value - exact, from_array - exact):
+                        worst_abs = max(worst_abs, abs(float(err)))
+                        worst_rel = max(worst_rel, abs(float(err / exact)))
+        assert 5 * _SUM_A_MAX <= kept < 10 * _SUM_A_MAX
+        assert worst_abs <= 1e-15 and worst_rel <= 5e-13
 
     def test_against_scipy(self):
         x = np.linspace(0.0, 1.0, 401)
