@@ -508,7 +508,7 @@ _STDOUT_DIGESTS = {
     "power --solve --target 0.8 --d 0.01":
         "9b1c4efa2cdaa09a74f4be798ec402ed84dba7fbd4e438e7553e86d39dab81ca",
     "power --n 3 --d 1":
-        "a5c075408ffa42c1413079cb9a3f2c791c816b24237d5dd30ab468c4f261832a",
+        "bd5f8db5f991c2d8b664549527df3fb970ef5cd3fc2754a242be745a78ecc7c0",
     "power --n 4 --d 1":
         "0622d8333c365812f2f3ec24daef7d7d017034d090d72bd3fcd5d4eaca0646fd",
     "power --n 5 --d 1":
@@ -516,17 +516,17 @@ _STDOUT_DIGESTS = {
     "power --n 6 --d 1":
         "084a6b49ac23f43532f6f9d4be895205ccb89ed4ea153d3d5de9888438f47950",
     "power --n 8 --d 1":
-        "f7741415629f65c484d99445e9432b09fbffb189cf6cb4613ecbb43928e2dd34",
+        "524a8962b722cb2ae0dd9a48fc9e3f5696ec6ce892de3a8ea7789225ae78e0f4",
     "power --n 10 --d 1":
         "71dc908a88f08393acec349a91a601f9d6e6a006f693288e864e13eabf9c1f9c",
     "power --n 12 --d 1":
-        "50f75492c4fd8f6819fffcb8a5d444340205da5d3f4618789a8c9ce9ba869460",
+        "da2ec6301977b287e44bd8bf8b48f534c101e67f3afb0a258512be2a5078c189",
     "power --n 14 --d 1":
         "495e8cf871240051afe65b80ca3a079395c526f0e3d0e122f44c72a0eff539a5",
     "power --n 16 --d 1":
         "7352cd522d8fdcd67ef264bdf8a2de71c3954d029a67798515881eb7b8e3abf9",
     "power --n 20 --d 1":
-        "92dd23199acee7d42eeda0d3d9bc049fa6263eb5a642805eced2a862c712dca3",
+        "c5277b2485842f8cec7db8a1d80fb691930d8fd2ae0deaa7ba60bc9eb3d4c0fd",
     "power --n 50 --d 1":
         "e0f8333d535fa182ee443437bd7c54b8531cfa757f4127edec712f9ac9028adf",
     "screen --prevalence 0.01 --sensitivity 0.8 --specificity 0.95 --population 10000":
@@ -544,11 +544,11 @@ _STDOUT_DIGESTS = {
     "berger --target-fdr 0.05":
         "335bb1372c0b7493a161905306080cce994463a27695bb0df41a8daae26d7bb9",
     "simulate --n-per-group 4 --delta 1 --n-sims 2000 --seed 1":
-        "5896c13bbc40f92f804e45091a9c7ca491ac45a6fcff0ac1de5feb8546ab0187",
+        "5ed620448b9969477b3e9f609915c46c1a6719b52e3049f3c61b620c1284b694",
     "simulate --n-per-group 4 --delta 1 --n-sims 2000 --seed 1 --prevalence 0.1 --interval 0.045,0.05":
-        "78af757907f714e1e5db6d4c3415450bfaf55a318683b88e36ef578342013c6f",
+        "594dc401855b35b4a45ba569875e45e49cbb02efd6f06085504c334b4f6f9b55",
     "inflation --n-sims 300 --seed 3":
-        "2e286a11cfac624db08648c56cbab52836061e3bb43fc396214597c2ad2c7970",
+        "31ae88152f04d51d8de5de0337710b7b16072bc06a1c803edcce7d14aa63f9ea",
 }
 
 

@@ -590,6 +590,8 @@ class TestKernelBits:
         2: "639a9ffbd1b02511df3b4118751b3cc08648b852cd9c82e930f8d32d80650647",
         # version 3 changed only the p value's continued fraction
         3: "639a9ffbd1b02511df3b4118751b3cc08648b852cd9c82e930f8d32d80650647",
+        # version 4 changed only the p value's incomplete beta
+        4: "639a9ffbd1b02511df3b4118751b3cc08648b852cd9c82e930f8d32d80650647",
     }
     CDF = "901a0c8c1dc23c4f091839a16640ae516c911c657effc0ea65b240a398398d1c"
 

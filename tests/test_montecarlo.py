@@ -94,6 +94,17 @@ _BATCH_DIGESTS = {
         (3, 0): "b2c00ac67ab12497f41d8c5f94cccaa35879b8fc8d5708809c80f692c381db48",
         (3, _MAX64): "dbf9763f9f19979a59ff09a73afbd69f7b6368ce3e3ee165f96e7a50a6cf3df4",
     },
+    # version 4: likewise version 3's with "stream_version": 4
+    4: {
+        (50, 0): "f25acbff972ba1617a7a717f3924e321efd5567b6a2474d66775fc4f39bdce4c",
+        (50, _MAX64): "d123bce2e12a2a37339bbe2680c50e18f54c2b1d6240bb47df04aea814c76352",
+        (2, 0): "e1361d9bb84d3d6ef8aca517b49de2c7433f6cbd99976e2f87b886fc1139adbb",
+        (2, _MAX64): "9ce8941abb229fe569d7d19f44f3483521030c7a1ea100a98cdaaa35979747b7",
+        (16, 0): "82106cd4df09d3e9ca98c9649f91270c2ee8a7ee7c430bf3145e40ecf425bdb5",
+        (16, _MAX64): "1389654ab8cac205c738e3ea0785e95d052cb71e136a8f23cef9216dcdd56e42",
+        (3, 0): "2d785c321e1ab2c5c021f4333f947808fb4c9ef0271fc6c1d04f6c0171aece12",
+        (3, _MAX64): "f02a19783e886e560bd1ced577451c2d1988d14cda66800b1f1cbb5a0327a311",
+    },
 }
 
 
