@@ -4,12 +4,12 @@ Everything numeric is implemented here directly so that the behaviour of the
 package is pinned by this one file: a rational erfc (Cody's approximation),
 Wichura's AS 241 normal quantile, the regularized incomplete beta via a
 Lentz continued fraction (in numpy for arrays, in `math` floats for one
-value) with a Stirling-difference log beta at large parameters, the
-same beta at b = 1/2 and an integer a <= 64 (the t test's even df) as a
-finite sum by Horner wherever that sum is at least 1e-3, with the fraction
-below it, the central Student t CDF through that beta,
-and the noncentral t CDF as one Gauss-Legendre quadrature of
-E[Phi(t*W - ncp)] over log W, W = sqrt(chi2_df / df), for a whole array of t.
+value) with a Stirling-difference log beta at large parameters, or at
+b = 1/2 and an integer a <= 64 (the t test's even df) via a finite sum by
+Horner wherever that sum is at least 1e-3, the central Student t CDF
+through that beta, and the noncentral t CDF as one Gauss-Legendre
+quadrature of E[Phi(t*W - ncp)] over log W, W = sqrt(chi2_df / df), for a
+whole array of t.
 
 All distribution functions accept a float or a numpy array and return the
 matching kind.  Random draws come from `RngStream`, a counter-based Philox
@@ -442,7 +442,8 @@ def regularized_incomplete_beta(a, b, x):
     """
     a = positive(a, "a")
     b = positive(b, "b")
-    terms = _half_sum_terms(a, b)
+    # the finite sum's number of terms, or 0 where only the fraction serves
+    terms = int(a) if b == 0.5 and a <= _SUM_A_MAX and a.is_integer() else 0
     if np.ndim(x) == 0:
         return _betainc_scalar(a, b, probability(x, "x"), terms)
     arr, _ = _asarray_checked(x, "x")
@@ -482,12 +483,6 @@ def _betainc_scalar(a: float, b: float, x: float, terms: int) -> float:
     else:
         res = 1.0 - front * _betacf(b, a, 1.0 - x) / b
     return min(1.0, max(0.0, res))
-
-
-def _half_sum_terms(a: float, b: float) -> int:
-    """The number of terms of the finite sum for I_x(a, b), or 0 when the
-    continued fraction serves (a, b)."""
-    return int(a) if b == 0.5 and a <= _SUM_A_MAX and a.is_integer() else 0
 
 
 def _half_sum(terms: int, x):
