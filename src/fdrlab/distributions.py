@@ -2,14 +2,17 @@
 
 Everything numeric is implemented here directly so that the behaviour of the
 package is pinned by this one file: a rational erfc (Cody's approximation),
-Wichura's AS 241 normal quantile, the regularized incomplete beta via a
-Lentz continued fraction (in numpy for arrays, in `math` floats for one
-value) with a Stirling-difference log beta at large parameters, or at
-b = 1/2 and an integer a <= 64 (the t test's even df) via a finite sum by
-Horner wherever that sum is at least 1e-3, the central Student t CDF
-through that beta, and the noncentral t CDF as one Gauss-Legendre
-quadrature of E[Phi(t*W - ncp)] over log W, W = sqrt(chi2_df / df), for a
-whole array of t.
+Wichura's AS 241 normal quantile (one path, for a float as for an array;
+`power` takes its float starting quantiles from `statistics.NormalDist`,
+the same algorithm in C), the regularized incomplete beta, the central
+Student t CDF through it, and the noncentral t CDF as a Gauss-Legendre
+quadrature of E[Phi(t*W - ncp)] over log W, W = sqrt(chi2_df / df), in
+tiles of 8 values of t.  The incomplete beta runs a Lentz continued
+fraction in numpy for an array and in `math` floats for one value, but
+forms its front factor with numpy's ufuncs for both, so a float has an
+array element's bits everywhere.  Its log beta is a Stirling difference at
+large parameters; at b = 1/2 and an integer a <= 64 (the t test's even df)
+a finite sum by Horner gives every value of at least 1e-3.
 
 All distribution functions accept a float or a numpy array and return the
 matching kind.  Random draws come from `RngStream`, a counter-based Philox
@@ -17,11 +20,9 @@ substream keyed by (master_seed, stream_index): the same pair always yields
 the same sequence, on any platform and under any threading.  `block_uniforms`
 draws the first uniforms of many streams at once with a numpy
 Philox4x64-10, bit for bit, and leaves the streams themselves untouched.
-
-The simulation's kernels here, `block_uniforms` and `normal_quantile`,
-take their scratch arrays from numpy one row tile of about 2**16 elements
-at a time, so beside the uniforms themselves they hold a few MiB of
-scratch, however many uniforms there are.
+It and `normal_quantile` take their scratch one row tile of about 2**16
+elements at a time, so they hold a few MiB of it however many uniforms
+there are.
 """
 
 from __future__ import annotations
@@ -65,16 +66,16 @@ def _ret(arr: np.ndarray, scalar: bool):
 _TILE = 2 ** 16
 
 
-def _row_tiles(shape: tuple):
+def _row_tiles(shape: tuple, tile: int = _TILE):
     """Index expressions that cut an array of `shape` along its first axis
-    into tiles of about _TILE elements, each at least one row; none for an
+    into tiles of about `tile` elements, each at least one row; none for an
     empty array."""
     if not shape:
         yield ...
         return
     if not math.prod(shape):
         return
-    step = max(1, _TILE // math.prod(shape[1:]))
+    step = max(1, tile // math.prod(shape[1:]))
     for start in range(0, shape[0], step):
         yield slice(start, start + step)
 
@@ -83,14 +84,6 @@ def _horner(coeffs, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(...((c0*x + c1)*x + c2)...)*x + c_last into `out` (a new array if
     None), step by step."""
     out = np.empty_like(x) if out is None else out
-    if x.ndim == 0:
-        # numpy scalars round alike and cost a fraction of a 0-d ufunc call
-        x = x[()]
-        acc = x * coeffs[0]
-        for c in coeffs[1:-1]:
-            acc = (acc + c) * x
-        out[()] = acc + coeffs[-1]
-        return out
     np.multiply(x, coeffs[0], out=out)
     for c in coeffs[1:-1]:
         out += c
@@ -226,33 +219,21 @@ _AS241_R_FAR = 5.0
 
 def _as241(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     """AS 241 into `out`, which may be `p` itself: the central formula over
-    every element unless all lie in the tails, then the tails, gathered.
-
-    Every tail `p` is read before `out` is written.  The steps run in place
-    over two scratch arrays of `p`'s shape, whose `out=` also keeps them
-    arrays for a 0-d `p`.
-    """
+    every element, then the tails, gathered.  Every tail `p` is read before
+    `out` is written.  The steps run in place over two scratch arrays of
+    `p`'s shape, whose `out=` also keeps them arrays for a 0-d `p`."""
     q = np.subtract(p, 0.5, out=np.empty_like(p))
     scratch = np.abs(q, out=np.empty_like(p))
     tail = scratch > _AS241_Q_CENTRAL
     # the tails need q and s = min(p, 1 - p), where 1 - p is 0.5 - q
-    # exactly for p > 1/2
-    if tail.all():
-        # all in the tails, as a single value often is: nothing to gather,
-        # and `_horner` takes its scalar route on 0-d input
-        tail = ...  # out[...] is all of `out`, 0-d included
-        q_tail = q
-        s_tail = np.minimum(p, np.subtract(0.5, q, out=scratch), out=scratch)
-    else:
-        # with no p in a tail, the gathers are empty
-        q_tail = q[tail]
-        s_tail = np.minimum(p[tail], 0.5 - q_tail)
-        r = np.multiply(q, q, out=scratch)
-        np.subtract(_AS241_R_CENTRAL, r, out=r)
-        num = _horner(_AS241_A, r)
-        num *= q
-        np.divide(num, _horner(_AS241_B, r, q), out=out)
-
+    # exactly for p > 1/2; with no p in a tail, the gathers are empty
+    q_tail = q[tail]
+    s_tail = np.minimum(p[tail], 0.5 - q_tail)
+    r = np.multiply(q, q, out=scratch)
+    np.subtract(_AS241_R_CENTRAL, r, out=r)
+    num = _horner(_AS241_A, r)
+    num *= q
+    np.divide(num, _horner(_AS241_B, r, q), out=out)
     x_tail = _as241_tail(s_tail)
     np.negative(x_tail, out=x_tail, where=q_tail < 0.0)
     out[tail] = x_tail
@@ -287,7 +268,8 @@ def normal_quantile(p, *, out=None):
 
     `out` receives the result and may be `p` itself.  An array is taken in
     row tiles of about 2**16 elements, so the scratch numpy allocates for
-    it stays a few tiles in size.
+    it stays a few tiles in size.  A float takes the same path; for one
+    float, ``statistics.NormalDist().inv_cdf`` is the same AS 241 in C.
     """
     arr, scalar = _asarray(p)
     # min and max are NaN when any entry is, so NaN fails this test too
@@ -437,8 +419,8 @@ def regularized_incomplete_beta(a, b, x):
     an integer a up to `_SUM_A_MAX`, every value is within 1e-15 absolute
     and 5e-13 relative of the exact one: a finite sum gives each value of
     at least `_SUM_MIN`, and the continued fraction the rest.  A float `x`
-    takes a path in `math` floats, free of numpy's per-call overhead, and
-    wherever the sum's value is kept it has the array's bits.
+    takes a path in `math` floats, free of most of numpy's per-call
+    overhead, and gets an array element's bits.
     """
     a = positive(a, "a")
     b = positive(b, "b")
@@ -457,11 +439,17 @@ def regularized_incomplete_beta(a, b, x):
     return out
 
 
+def _front_factor(a: float, b: float, x):
+    """x^a (1 - x)^b / B(a, b) by numpy's ufuncs, whose scalar and array
+    loops round alike (libm's do not), for a float or an array `x`."""
+    return np.exp(a * np.log(x) + b * np.log1p(-x) - _lbeta(a, b))
+
+
 def _betainc_fraction(a: float, b: float, arr: np.ndarray) -> np.ndarray:
     """I_x(a, b) over an array by the continued fraction."""
     # the front factor is exp(-inf) = 0 at x = 0 and 1: the formula gives 0, 1
     with np.errstate(divide="ignore"):
-        front = np.exp(a * np.log(arr) + b * np.log1p(-arr) - _lbeta(a, b))
+        front = _front_factor(a, b, arr)
     out = np.empty_like(arr)
     direct = arr < (a + 1.0) / (a + b + 2.0)
     out[direct] = front[direct] * _betacf(a, b, arr[direct]) / a
@@ -477,7 +465,7 @@ def _betainc_scalar(a: float, b: float, x: float, terms: int) -> float:
         res = _half_sum(terms, x)
         if res >= _SUM_MIN:
             return res
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _lbeta(a, b))
+    front = float(_front_factor(a, b, x))
     if x < (a + 1.0) / (a + b + 2.0):
         res = front * _betacf(a, b, x) / a
     else:
@@ -544,8 +532,11 @@ def noncentral_t_cdf(t, df, ncp):
     arr, scalar = _asarray_checked(t, "t")
     if ncp == 0.0:
         return student_t_cdf(t, df)
-    out = _nct_cdf_quadrature(arr.reshape(-1), df, ncp).reshape(arr.shape)
-    return _ret(out, scalar)
+    flat = arr.reshape(-1)
+    out = np.empty_like(flat)
+    for tile in _row_tiles(flat.shape, _NCT_TILE):
+        out[tile] = _nct_cdf_quadrature(flat[tile], df, ncp)
+    return _ret(out.reshape(arr.shape), scalar)
 
 
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -581,6 +572,9 @@ _NCT_PANELS = 24
 _NCT_STEP_EDGES = np.array([-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0])
 # Nodes and weights of each panel's 48-point rule, built once at import.
 _NCT_NODES, _NCT_WEIGHTS = _gauss_legendre(48)
+# Values of t per quadrature.  Every t's step edges join one shared panel
+# set, so a tile's scratch grows with its size squared.
+_NCT_TILE = 8
 
 
 def _log_w_window(df: float) -> tuple[float, float]:

@@ -9,13 +9,17 @@ two-sided critical values.
 from __future__ import annotations
 
 import math
+import statistics
 import sys
 
 import numpy as np
 
-from .distributions import noncentral_t_cdf, normal_quantile, student_t_cdf
+from .distributions import noncentral_t_cdf, student_t_cdf
 from .errors import DomainError, finite, integer_at_least, open_probability, positive
 
+# One float's normal quantile for the starts below: CPython's AS 241 in C,
+# with `normal_quantile`'s bits on every input tried, at a hundredth the cost.
+_normal_quantile = statistics.NormalDist().inv_cdf
 
 # Newton steps `student_t_quantile` takes at most.
 _QUANTILE_STEPS = 60
@@ -32,7 +36,7 @@ def _quantile_start(q: float, df: float) -> float:
         return -1.0 / math.tan(math.pi * q)
     if df == 2.0:
         return (2.0 * q - 1.0) / math.sqrt(2.0 * q * (1.0 - q))
-    z = float(normal_quantile(q))
+    z = _normal_quantile(q)
     z2 = z * z
     g1 = (z2 + 1.0) * z / 4.0
     g2 = ((5.0 * z2 + 16.0) * z2 + 3.0) * z / 96.0
@@ -145,11 +149,12 @@ def solve_n(target_power: float, effect_size_d: float, alpha: float = 0.05) -> i
     if d == 0.0:
         raise DomainError("effect size must be nonzero to reach any power")
     alpha = open_probability(alpha, "alpha")
+    half_alpha = open_probability(0.5 * alpha, "alpha / 2")  # 0 at alpha = 5e-324
 
     def reaches(n: int) -> bool:
         return power_two_sample(n, d, alpha) >= target
 
-    z = float(normal_quantile(target) - normal_quantile(0.5 * alpha))
+    z = _normal_quantile(target) - _normal_quantile(half_alpha)
     # min() keeps the square finite; 2 * 2**32 is past _N_MAX anyway.
     ratio = min(max(z, 0.0) / abs(d), 2.0 ** 16)
     n = min(max(math.ceil(2.0 * ratio * ratio), 2), _N_MAX)

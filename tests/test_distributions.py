@@ -6,6 +6,7 @@ references.  The seeded uniforms are pinned by digests of their raw bytes.
 
 import hashlib
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -163,8 +164,8 @@ class TestNormalQuantileAccuracy:
         array = normal_quantile(self.INPUTS)
         scalar = np.array([normal_quantile(p) for p in self.INPUTS])
         assert np.array_equal(array.view(np.uint64), scalar.view(np.uint64))
-        # an array wholly in the tails takes its own branch, and one wholly
-        # in the centre the general path with empty tail gathers
+        # an array wholly in the tails, and one wholly in the centre, whose
+        # tail gathers are empty
         tails = np.abs(self.INPUTS - 0.5) > 0.425
         central = (self.INPUTS >= 0.1) & (self.INPUTS <= 0.9)
         for part in (tails, central):
@@ -230,9 +231,7 @@ class TestIncompleteBeta:
     def test_half_sum_against_mpmath(self):
         # b = 1/2 and every integer a the finite sum takes, at seeded x on
         # both sides of its switch at I = _SUM_MIN, as floats and arrays:
-        # the docstring's bounds, and the float's bits wherever the sum's
-        # value is kept.  Where the fraction runs, a float and an array may
-        # differ by the rounding of libm's exp and log against numpy's.
+        # the docstring's bounds, and the float's bits everywhere
         rng = np.random.default_rng(17)
         worst_abs = worst_rel = 0.0
         kept = 0
@@ -245,9 +244,8 @@ class TestIncompleteBeta:
             with mpmath.workdps(40):
                 for v, from_array in zip(map(float, x), array):
                     value = regularized_incomplete_beta(a, 0.5, v)
-                    if value >= _SUM_MIN:
-                        assert value == from_array
-                        kept += 1
+                    assert value == from_array
+                    kept += value >= _SUM_MIN
                     exact = mpmath.betainc(a, 0.5, 0, v, regularized=True)
                     for err in (value - exact, from_array - exact):
                         worst_abs = max(worst_abs, abs(float(err)))
@@ -263,13 +261,21 @@ class TestIncompleteBeta:
             assert np.max(np.abs(mine - ref)) < 1e-10
 
     def test_scalar_path_matches_array_path(self):
+        # a float gets an array element's bits: random a, b and x, then
+        # b = 1/2 with every integer a from 1 to 129, inside the finite
+        # sum's bound and past it, at x on both sides of its switch
         rng = np.random.default_rng(5)
         for a, b, x in zip(np.exp(rng.uniform(-1.0, 8.0, 300)),
                            np.exp(rng.uniform(-1.0, 8.0, 300)), rng.uniform(0.0, 1.0, 300)):
             scalar = regularized_incomplete_beta(a, b, float(x))
             assert isinstance(scalar, float)
-            assert scalar == pytest.approx(regularized_incomplete_beta(a, b, np.array([x]))[0],
-                                           abs=1e-13)
+            assert scalar == regularized_incomplete_beta(a, b, np.array([x]))[0]
+        for a in range(1, 2 * _SUM_A_MAX + 2):
+            p = np.concatenate((10.0 ** rng.uniform(-3.0, 0.0, 32),
+                                10.0 ** rng.uniform(-12.0, -3.0, 32)))
+            x = scipy.special.betaincinv(a, 0.5, p)
+            floats = [regularized_incomplete_beta(a, 0.5, v) for v in map(float, x)]
+            assert regularized_incomplete_beta(a, 0.5, x).tolist() == floats
         for x in (0.0, 1.0, np.float64(0.25), np.array(0.25)):
             value = regularized_incomplete_beta(2.0, 3.0, x)
             assert isinstance(value, float)
@@ -380,6 +386,15 @@ class TestStudentT:
             ts = np.array([-3e-6, 1e-9, 2.0])
             assert list(student_t_cdf(ts, df)) == [student_t_cdf(t, df) for t in ts]
 
+    def test_scalar_path_matches_array_path(self):
+        # a float gets an array element's bits, on both branches of the CDF
+        # and on both sides of the finite sum's switch
+        rng = np.random.default_rng(18)
+        for df in (*range(1, 198, 7), 786, 313956, 1e7):
+            ts = np.concatenate((rng.normal(0.0, 3.0, 30), rng.uniform(-40.0, 40.0, 30)))
+            floats = [student_t_cdf(t, df) for t in map(float, ts)]
+            assert student_t_cdf(ts, df).tolist() == floats
+
     def test_array_far_tail_at_large_df(self):
         # each element converges alone; the array used to wait for all of
         # them to pass the step test at one step, and raised
@@ -443,6 +458,22 @@ class TestNoncentralT:
         assert values.shape == ts.shape
         singles = [noncentral_t_cdf(t, 9.0, 1.7) for t in ts]
         assert np.max(np.abs(values - singles)) < 1e-15
+
+    def test_long_array_scratch_stays_small(self):
+        # an array is integrated a tile of values at a time; one quadrature
+        # over all 200 values, each adding its step edges to one shared
+        # panel set, peaked at about 300 MiB
+        ts = np.linspace(-5.0, 8.0, 200).reshape(20, 10)
+        tracemalloc.start()
+        try:
+            values = noncentral_t_cdf(ts, 30.0, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert values.shape == ts.shape
+        singles = [noncentral_t_cdf(t, 30.0, 2.0) for t in ts.ravel()]
+        assert np.max(np.abs(values.ravel() - singles)) < 1e-15
 
     def test_lower_tail_keeps_relative_accuracy(self):
         # P(T <= -t_crit) at n = 200 per group, d = 1: about 3.8e-33, far
