@@ -260,7 +260,7 @@ def _add_format(parser) -> None:
 
 def _add_sim_common(parser) -> None:
     parser.add_argument("--sd", default=1.0,
-                        type=_flag(float, lambda value: mc.simulated_scale(positive(value))),
+                        type=_flag(float, mc.simulated_sd),
                         help="common true standard deviation (default 1)")
     parser.add_argument("--n-sims", type=_int_at_least(1), default=100_000,
                         help="number of simulated experiments (default 100000)")

@@ -602,7 +602,9 @@ def _nct_cdf_quadrature(t: np.ndarray, df: float, delta: float) -> np.ndarray:
     # constant nor the mass outside the window enters the result.
     lo, hi = _log_w_window(df)
     edges = np.linspace(lo, hi, _NCT_PANELS + 1)
-    steps = (delta + _NCT_STEP_EDGES) / t[t != 0.0, None]
+    # a subnormal t overflows its edges to +-inf, which fall outside the window
+    with np.errstate(over="ignore"):
+        steps = (delta + _NCT_STEP_EDGES) / t[t != 0.0, None]
     steps = np.log(steps[steps > 0.0])
     # A repeated edge makes a panel of width 0, which weighs nothing.
     edges = np.sort(np.concatenate((edges, steps[(steps > lo) & (steps < hi)])))

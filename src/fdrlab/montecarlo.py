@@ -21,8 +21,8 @@ and any grid-aligned interval count is exact.
 The input rules for grid bounds, histogram bin widths, curve sample sizes,
 thread counts and simulated means and sds live here once each
 (`grid_index`, `grid_interval`, `histogram_ticks`, `curve_sizes`,
-`thread_count`, `simulated_scale`); the CLI calls the same functions for
-its flags.
+`thread_count`, `simulated_scale`, and `simulated_sd`, which bounds an sd
+below at 1e-100 as well); the CLI calls the same functions for its flags.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from . import power as power_mod
 from .distributions import RngStream, block_uniforms, normal_quantile
 from .errors import (ConfigurationError, DomainError, UndefinedResultError, finite,
-                     integer_at_least, open_probability, positive, probability,
+                     integer_at_least, open_probability, probability,
                      uint64_value)
 from .fdr_calculus import Breakdown, TestScenario, significance_breakdown
 from .ttest import batch_two_sample_t
@@ -128,6 +128,21 @@ def simulated_scale(value, name: str = "value", error: type = DomainError) -> fl
     return value
 
 
+# Smallest simulated sd, the reciprocal of _MAX_SCALE.  A chunk squares
+# deviations, which underflow near sd = 1e-160 at n = 2: the draws differ,
+# but the batch fails as if its observations were identical.
+_MIN_SD = 1e-100
+
+
+def simulated_sd(value, name: str = "value", error: type = DomainError) -> float:
+    """`value` as a float, if it lies in [1e-100, 1e100]: the rule for a
+    simulated sd."""
+    value = simulated_scale(value, name, error)
+    if not value >= _MIN_SD:
+        raise error(f"{name} must be at least {_MIN_SD:g}; got {value}")
+    return value
+
+
 def curve_sizes(n_values: Sequence[int]) -> list[int]:
     """The per-group sample sizes of an inflation curve as ints; there must
     be at least one, and every one an integer >= 3."""
@@ -159,7 +174,7 @@ class SimConfig:
                            integer_at_least(self.n_sims, 1, "n_sims", error))
         simulated_scale(self.true_mean_control, "true_mean_control", error)
         simulated_scale(self.true_mean_treatment, "true_mean_treatment", error)
-        simulated_scale(positive(self.sd, "sd", error), "sd", error)
+        simulated_sd(self.sd, "sd", error)
         open_probability(self.alpha, "alpha", error)
         object.__setattr__(self, "master_seed",
                            uint64_value(self.master_seed, "master_seed", error))

@@ -433,6 +433,19 @@ def test_simulated_scale_above_1e100_exits_2(capsys, argv):
     assert "value must be at most 1e+100 in magnitude" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate --n-per-group 2 --delta 0 --n-sims 10",
+                                     "inflation --n-list 3 --n-sims 10"])
+def test_simulated_sd_below_1e_100_exits_2(capsys, command):
+    # the rule SimConfig applies, montecarlo.simulated_sd: at 1e-300 every
+    # batch failed with a false "all observations are identical"
+    with pytest.raises(SystemExit) as err:
+        main([*command.split(), "--sd", "1e-300"])
+    assert err.value.code == 2
+    assert "argument --sd: value must be at least 1e-100" in capsys.readouterr().err
+    assert main([*command.split(), "--sd", "1e-100", "--format", "json"]) == 0
+    capsys.readouterr()
+
+
 def test_json_round_trips_losslessly(capsys):
     data = run_json(capsys, "fdr", "--prevalence", "0.123456789",
                     "--power", "0.8", "--alpha", "0.05")

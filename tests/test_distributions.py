@@ -512,6 +512,12 @@ class TestNoncentralT:
         # warning, to a Phi of 0 or 1
         assert (noncentral_t_cdf(1e308, 1.0, 0.5), noncentral_t_cdf(-1e308, 1.0, 0.5)) == (
             1.0, 0.0)
+        # a subnormal t overflows its step edges, without a warning, and
+        # gives Phi(-ncp)
+        for t in (5e-324, -5e-324):
+            assert noncentral_t_cdf(t, 5.0, 1.0) == pytest.approx(normal_cdf(-1.0), abs=1e-12)
+        assert noncentral_t_cdf(np.array([5e-324, -5e-324]), 5.0, 1.0) == pytest.approx(
+            normal_cdf(-1.0), abs=1e-12)
 
 
 def _mpmath_nct_cdf(t, df, ncp):

@@ -296,7 +296,36 @@ class TestAlphaForTargetFdr:
             p = alpha_for_target_fdr(target)
             assert berger_min_fdr(p) == pytest.approx(target, abs=1e-9)
 
+    @pytest.mark.parametrize("target", [1e-300, 1e-12, 1e-6, 0.05, 0.3, 0.49])
+    def test_against_lambert_w(self, target):
+        # p = exp(W_{-1}(-B/e)) with B = target/(1 - target), in 50 digits
+        with mpmath.workdps(50):
+            b = mpmath.mpf(target) / (1 - mpmath.mpf(target))
+            oracle = float(mpmath.exp(mpmath.lambertw(-b / mpmath.e, -1)))
+        assert alpha_for_target_fdr(target) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.floats(math.log(1e-300), math.log(0.5), exclude_max=True).map(math.exp))
+    def test_roundtrip_is_relative(self, target):
+        assume(target < 0.5)
+        assert berger_min_fdr(alpha_for_target_fdr(target)) == pytest.approx(
+            target, rel=1e-14, abs=0.0)
+
     def test_domain(self):
-        for bad in (0.0, 0.5, 0.9, -0.2):
+        for bad in (0.0, 0.5, 0.9, -0.2, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 alpha_for_target_fdr(bad)
+        # the largest target below 1/2 has its root u = -ln(p) near 1
+        assert 0.0 < alpha_for_target_fdr(math.nextafter(0.5, 0.0)) < 1.0 / math.e
+        # p underflows to 0
+        with pytest.raises(DomainError, match="underflows"):
+            alpha_for_target_fdr(5e-324)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.floats())
+    def test_any_float_gives_p_or_domain_error(self, target):
+        try:
+            p = alpha_for_target_fdr(target)
+        except DomainError:
+            return
+        assert 0.0 < p < 1.0 / math.e

@@ -446,6 +446,11 @@ def test_config_validation():
         with pytest.raises(ConfigurationError, match=f"{field} must be at most 1e"):
             SimConfig(n_per_group=4, **{field: value})
     SimConfig(n_per_group=4, true_mean_control=1e100, true_mean_treatment=-1e100, sd=1e100)
+    # and an sd stops at 1e-100: below about 1e-160 a group's squared
+    # deviations underflow to a zero pooled variance
+    with pytest.raises(ConfigurationError, match="sd must be at least 1e-100"):
+        SimConfig(n_per_group=4, sd=1e-101)
+    SimConfig(n_per_group=4, sd=1e-100)
     with pytest.raises(ConfigurationError):
         SimConfig(n_per_group=4, alpha=1.0)
     for seed in (-1, 1.5, 2 ** 64):
