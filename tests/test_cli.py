@@ -555,7 +555,7 @@ _STDOUT_DIGESTS = {
     "berger --p 0.0027":
         "fbe612f57c9d1a594301f87b8085897f9f0903772f0d729f55c19df27c3efce8",
     "berger --target-fdr 0.05":
-        "335bb1372c0b7493a161905306080cce994463a27695bb0df41a8daae26d7bb9",
+        "f1a67dfc219e71341cfa60397547d012c1e3775688f41f92a169a18e1ce0dde9",
     "simulate --n-per-group 4 --delta 1 --n-sims 2000 --seed 1":
         "5ed620448b9969477b3e9f609915c46c1a6719b52e3049f3c61b620c1284b694",
     "simulate --n-per-group 4 --delta 1 --n-sims 2000 --seed 1 --prevalence 0.1 --interval 0.045,0.05":
