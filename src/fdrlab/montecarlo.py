@@ -121,25 +121,21 @@ _MAX_SCALE = 1e100
 
 def simulated_scale(value, name: str = "value", error: type = DomainError) -> float:
     """`value` as a float, if it is finite and at most 1e100 in magnitude:
-    the rule for a simulated mean or sd."""
+    the rule for a simulated mean, and `simulated_sd`'s upper bound."""
     value = finite(value, name, error)
     if abs(value) > _MAX_SCALE:
         raise error(f"{name} must be at most {_MAX_SCALE:g} in magnitude; got {value}")
     return value
 
 
-# Smallest simulated sd, the reciprocal of _MAX_SCALE.  A chunk squares
-# deviations, which underflow near sd = 1e-160 at n = 2: the draws differ,
-# but the batch fails as if its observations were identical.
-_MIN_SD = 1e-100
-
-
 def simulated_sd(value, name: str = "value", error: type = DomainError) -> float:
-    """`value` as a float, if it lies in [1e-100, 1e100]: the rule for a
-    simulated sd."""
+    """`value` as a float in [1e-100, 1e100]: the rule for a simulated sd.
+    The floor is 1/_MAX_SCALE: a chunk squares deviations, which vanish near
+    sd = 1e-160 at n = 2, and the batch then fails as if its observations
+    were identical."""
     value = simulated_scale(value, name, error)
-    if not value >= _MIN_SD:
-        raise error(f"{name} must be at least {_MIN_SD:g}; got {value}")
+    if value < 1.0 / _MAX_SCALE:
+        raise error(f"{name} must be at least {1.0 / _MAX_SCALE:g}; got {value}")
     return value
 
 
