@@ -15,14 +15,15 @@ large parameters; at b = 1/2 and an integer a <= 64 (the t test's even df)
 a finite sum by Horner gives every value of at least 1e-3.
 
 All distribution functions accept a float or a numpy array and return the
-matching kind.  Random draws come from `RngStream`, a counter-based Philox
-substream keyed by (master_seed, stream_index): the same pair always yields
-the same sequence, on any platform and under any threading.  `block_uniforms`
-draws the first uniforms of many streams at once with a numpy
-Philox4x64-10, bit for bit, and leaves the streams themselves untouched.
-It and `normal_quantile` take their scratch one row tile of about 2**16
-elements at a time, so they hold a few MiB of it however many uniforms
-there are.
+matching kind.  Random draws come from `RngStream`, a counter-based
+substream of numpy's Philox4x64-10: stream (master_seed, i) takes block b
+from the counter i + 2**64 * b + 1 under the key (master_seed, 0), so the
+same pair always yields the same sequence, on any platform and under any
+threading.  Block b of consecutive streams is one counter range, and
+`block_uniforms` draws the first uniforms of many streams with one numpy
+call per block column, bit for bit, leaving the streams untouched.  It and
+`normal_quantile` take their scratch one row tile of about 2**16 elements
+at a time, so they hold a few MiB of it however many uniforms there are.
 """
 
 from __future__ import annotations
@@ -626,135 +627,108 @@ def _nct_cdf_quadrature(t: np.ndarray, df: float, delta: float) -> np.ndarray:
 class RngStream:
     """One independent substream of a counter-based generator.
 
-    The stream is a Philox generator keyed directly by
-    ``(master_seed, stream_index)``.  Philox produces an independent random
-    function of its counter for every distinct key, so distinct stream
-    indices never share state and a batch of streams can be consumed in any
-    order, by any number of workers, with identical results.
+    Stream ``(master_seed, stream_index)`` is Philox4x64-10 (Salmon et al.,
+    "Parallel random numbers: as easy as 1, 2, 3", SC 2011) under the key
+    ``(master_seed, 0)``: its block b of four words is the cipher of the
+    256-bit counter ``stream_index + 2**64 * b + 1``.  Distinct stream
+    indices never share a counter, so a batch of streams can be consumed in
+    any order, by any number of workers, with identical results; and block b
+    of consecutive streams is one contiguous counter range, which
+    `block_uniforms` draws in one call.
 
     Uniform draws are returned on the open interval (0, 1): the raw 53-bit
     lattice k/2^53 is shifted to cell midpoints so that the inverse-CDF
     transform in `sample_normal` can never see 0 or 1.
 
-    Construction only validates and stores the key; numpy's ``Philox`` is
-    built on the first `uniforms` call.  `block_uniforms` draws the first
-    uniforms of many keys at once without touching their streams, so a
-    stream's own `uniforms` always starts at its first draw.
+    Construction only validates and stores the key and a count of the words
+    drawn.  `uniforms` walks the stream's blocks one numpy call each, so a
+    long draw from one stream costs a few microseconds per four uniforms.
     """
 
-    __slots__ = ("master_seed", "stream_index", "_bits")
+    __slots__ = ("master_seed", "stream_index", "_drawn")
 
     def __init__(self, master_seed: int, stream_index: int = 0):
         self.master_seed = uint64_value(master_seed, "master_seed")
         self.stream_index = uint64_value(stream_index, "stream_index")
-        self._bits = None
+        self._drawn = 0
 
     def __repr__(self):
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
 
     def uniforms(self, size=None):
-        """Draw uniforms in (0, 1), advancing the stream."""
-        if self._bits is None:
-            key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
-            self._bits = np.random.Philox(key=key)
-        # numpy's double, the top 53 bits times 2**-53, formed from the raw
-        # words as in `block_uniforms`: NEP 19 keeps a bit generator's raw
-        # stream stable across numpy releases, but not `Generator`'s methods
-        words = self._bits.random_raw(size)
-        if size is None:
-            return min((words >> 11) * 2.0 ** -53 + _U_SHIFT, _U_MAX)
-        u = np.multiply(words >> np.uint64(11), 2.0 ** -53)
-        u += _U_SHIFT
-        return np.minimum(u, _U_MAX, out=u)
+        """Draw `size` uniforms in (0, 1), or one float when `size` is None,
+        advancing the stream."""
+        count = 1 if size is None else integer_at_least(size, 0, "size")
+        first, skip = divmod(self._drawn, 4)
+        words = np.empty((1, -(-(skip + count) // 4), 4), dtype=np.uint64)
+        _raw_blocks(words, self.master_seed, self.stream_index, first)
+        self._drawn += count
+        u = _uniforms(words).reshape(-1)[skip:skip + count]
+        return float(u[0]) if size is None else u
 
 
-# Philox4x64-10 constants (Salmon et al., "Parallel random numbers: as easy
-# as 1, 2, 3", SC 2011), as in numpy's Philox.
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_PHILOX_ROUNDS = 10
-_LOW32 = np.uint64(0xFFFFFFFF)
-_U32 = np.uint64(32)
+def _raw_blocks(words: np.ndarray, seed: int, index: int, first: int) -> None:
+    """Blocks first, first + 1, ... of the streams index, index + 1, ...
+    under `seed`, as raw words into `words` of shape (streams, blocks, 4).
+
+    Block b of the streams is one counter range, drawn by numpy's Philox;
+    after each range the counter skips 2**64 - streams ahead to the next
+    block's.  NEP 19 keeps a bit generator's raw stream stable across numpy
+    releases, but not `Generator`'s methods.
+    """
+    streams, blocks, _ = words.shape
+    bits = np.random.Philox(key=seed, counter=index + (first << 64))
+    for b in range(blocks):
+        if b:
+            bits.advance(2 ** 64 - streams)
+        words[:, b] = bits.random_raw((streams, 4))
 
 
-def _mulhi(m: np.uint64, x: np.ndarray, out: np.ndarray, a: np.ndarray,
-           b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """High 64-bit word of the 128-bit product m * x into `out`, from 32-bit
-    halves so that no partial product overflows (Hacker's Delight, 8-2);
-    a, b and c are scratch of x's shape."""
-    m_lo, m_hi = m & _LOW32, m >> _U32
-    np.bitwise_and(x, _LOW32, out=a)                  # x_lo
-    np.right_shift(x, _U32, out=b)                    # x_hi
-    np.multiply(a, m_lo, out=c)
-    np.right_shift(c, _U32, out=c)
-    np.multiply(a, m_hi, out=a)
-    np.add(a, c, out=a)                               # t = m_hi x_lo + (m_lo x_lo >> 32)
-    np.multiply(b, m_lo, out=c)
-    np.multiply(b, m_hi, out=b)
-    np.right_shift(a, _U32, out=out)
-    out += b                                          # m_hi x_hi + (t >> 32)
-    np.bitwise_and(a, _LOW32, out=a)
-    a += c                                            # (t & low32) + m_lo x_hi
-    a >>= _U32
-    out += a
-    return out
-
-
-def _philox(k0: np.ndarray, k1: np.ndarray, blocks: int) -> list[np.ndarray]:
-    """Philox4x64-10 of counters 1..blocks under the keys (k0, k1), given as
-    column vectors and bumped in place: the four output words, each a new
-    array of shape (len(k0), blocks).  The rounds run in place over nine
-    arrays of that shape."""
-    shape = (len(k0), blocks)
-    x0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), (len(k0), 1))
-    x1, x2, x3 = (np.zeros(shape, np.uint64) for _ in range(3))
-    hi0, hi1, a, b, c = (np.empty(shape, np.uint64) for _ in range(5))
-    m0, m1 = _PHILOX_M
-    for rnd in range(_PHILOX_ROUNDS):
-        if rnd:
-            k0 += _PHILOX_W[0]
-            k1 += _PHILOX_W[1]
-        _mulhi(m0, x0, hi0, a, b, c)
-        _mulhi(m1, x2, hi1, a, b, c)
-        hi1 ^= x1
-        hi1 ^= k0
-        np.multiply(x2, m1, out=x1)
-        hi0 ^= x3
-        hi0 ^= k1
-        np.multiply(x0, m0, out=x3)
-        # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0)
-        x0, hi1, x2, hi0 = hi1, x0, hi0, x2
-    return [x0, x1, x2, x3]
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Raw words as uniforms in (0, 1), in place, returned as the float64
+    view of `words`: numpy's double, the top 53 bits times 2**-53, shifted
+    to the cell midpoints and clamped below 1."""
+    u = words.view(np.float64)
+    # in tiles, because numpy copies an input that shares memory with the
+    # output under another dtype; the top 53 bits are exact as int64, whose
+    # conversion to double is the fast one
+    flat_words, flat_u = words.reshape(-1, 4), u.reshape(-1, 4)
+    for tile in _row_tiles(flat_words.shape):
+        w, v = flat_words[tile], flat_u[tile]
+        w >>= np.uint64(11)
+        np.multiply(w.view(np.int64), 2.0 ** -53, out=v)
+        v += _U_SHIFT
+        np.minimum(v, _U_MAX, out=v)
+    return u
 
 
 def block_uniforms(streams, size: int) -> np.ndarray:
     """The first `size` uniforms of each of `streams`' keys, drawn all at once.
 
-    Runs Philox4x64-10 over every stream's key and counters 1..ceil(size/4)
-    in one vectorised pass per row tile of about 2**16 blocks, so its
-    scratch stays nine such tiles.  Row i of the (len(streams), size)
-    result is bit-identical to
+    Row i of the (len(streams), size) result is bit-identical to
     ``RngStream(s.master_seed, s.stream_index).uniforms(size)`` for
     ``s = streams[i]``: only the keys are read, so what a stream has drawn
-    before does not matter, and the streams are left as they were.  The
-    result is a view of an array of ceil(size/4) * 4 columns.
+    before does not matter, and the streams are left as they were.  Each run
+    of consecutive stream indices under one seed is drawn one block column
+    at a time, one numpy call per column and row tile of 2**14 streams, so
+    the scratch beside the result stays one tile of 2**16 words.  The result
+    is a view of an array of ceil(size/4) * 4 columns.
     """
     size = integer_at_least(size, 0, "size")
     rows, blocks = len(streams), -(-size // 4)
-    u = np.empty((rows, blocks, 4))
-    k0 = np.array([s.master_seed for s in streams], dtype=np.uint64)[:, None]
-    k1 = np.array([s.stream_index for s in streams], dtype=np.uint64)[:, None]
-    for tile in _row_tiles((rows, blocks)):
-        # numpy's double: the top 53 bits times 2**-53, word j of each
-        # block being draw 4 * block + j
-        for j, word in enumerate(_philox(k0[tile], k1[tile], blocks)):
-            word >>= np.uint64(11)
-            np.multiply(word, 2.0 ** -53, out=u[tile, :, j])
-    # then the stream's midpoint shift and clamp
-    u = u.reshape(rows, 4 * blocks)
-    u += _U_SHIFT
-    np.minimum(u, _U_MAX, out=u)
-    return u[:, :size]
+    words = np.empty((rows, blocks, 4), dtype=np.uint64)
+    seeds = np.array([s.master_seed for s in streams], dtype=np.uint64)
+    index = np.array([s.stream_index for s in streams], dtype=np.uint64)
+    # a run starts where the seed changes or the index does not step up by
+    # one; 2**64 - 1 + 1 wraps to 0 in uint64, so that index ends a run too
+    starts = np.ones(rows, dtype=bool)
+    starts[1:] = ((seeds[1:] != seeds[:-1]) | (index[:-1] == np.iinfo(np.uint64).max)
+                  | (index[1:] != index[:-1] + np.uint64(1)))
+    bounds = [*np.flatnonzero(starts).tolist(), rows]
+    for lo, hi in zip(bounds, bounds[1:]):
+        for tile in _row_tiles((hi - lo, 4)):
+            _raw_blocks(words[lo:hi][tile], int(seeds[lo]), int(index[lo]) + tile.start, 0)
+    return _uniforms(words).reshape(rows, 4 * blocks)[:, :size]
 
 
 def sample_normal(stream: RngStream, mean: float, sd: float, size=None):

@@ -5,12 +5,16 @@ i)`, so any slice of a batch can be recomputed independently and the result
 of `run_batch` is bitwise identical no matter how many worker threads run
 it.  Work is sharded into fixed-size chunks of experiment indices; partial
 aggregates are merged strictly in chunk order.  A chunk builds one stream
-per experiment (cheap: a stream builds its numpy `Philox` only on its first
-own `uniforms` call) and draws all of them with one vectorised
-`block_uniforms` call, which gives the bits each stream's `uniforms` would.
+per experiment (cheap: a stream only stores its key) and draws all of them
+with one `block_uniforms` call, which gives the bits each stream's
+`uniforms` would: the chunk's experiments are consecutive streams, so each
+block column of its uniforms is one counter range of numpy's Philox.
 A chunk past n = 64 takes its rows in slices of at most 2**19 uniforms,
 with the same bits, and the uniform and quantile kernels work in tiles of
-about 2**16 elements, so a chunk holds about 10 MiB at most up to n = 2**18.
+about 2**16 elements, so a chunk holds about 7 MiB at most up to n = 2**18.
+A chunk sums each experiment's difference less the true difference, and
+its square, so that the sd of the differences does not cancel when the
+true difference is far above the sd.
 Chunk ranges are generated lazily and at most 2 * threads chunks are in
 flight, so memory does not grow with the batch size either.
 
@@ -60,7 +64,7 @@ _UNIFORM_BUDGET = 2 ** 19
 # t test and its p value, and the chunk layout above.  Within a version a
 # seeded output is bit for bit reproducible; a change to any of those bits
 # bumps it, and CHANGES.md records what each version changed.
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 
 _N_BINS = 1000
 _BIN_EDGES = np.arange(_N_BINS + 1) / 1000.0
@@ -98,7 +102,7 @@ def histogram_ticks(bin_width: float) -> int:
 
 # Most worker threads `run_batch` accepts.  Threads never change a result,
 # and past the core count they buy nothing; each one running a chunk holds
-# about 10 MiB up to n = 2**18, and 2 * threads chunks may be in flight.
+# about 7 MiB up to n = 2**18, and 2 * threads chunks may be in flight.
 MAX_THREADS = 256
 
 
@@ -235,9 +239,9 @@ class SimSummary:
 
 
 def _simulate_chunk(config: SimConfig, start: int, stop: int) -> tuple[tuple, np.ndarray]:
-    """Simulate experiments [start, stop): their sums (count, sum of diffs,
-    sum of squared diffs, significant count, sum of significant diffs,
-    wrong-sign count) and their 0.001-grid p histogram."""
+    """Simulate experiments [start, stop): their sums (count, sum and sum of
+    squares of diff - true_diff, significant count, sum of significant
+    diffs, wrong-sign count) and their 0.001-grid p histogram."""
     n = config.n_per_group
     m = stop - start
     p, diff = np.empty(m), np.empty(m)
@@ -259,7 +263,10 @@ def _simulate_chunk(config: SimConfig, start: int, stop: int) -> tuple[tuple, np
 
     hist = np.bincount(np.searchsorted(_BIN_EDGES, p, side="left") - 1,
                        minlength=_N_BINS).astype(np.int64)
-    sums = (m, float(diff.sum()), float((diff * diff).sum()),
+    # centred on the true difference, so that the variance does not cancel
+    # when |true_diff| is far above the sd
+    dev = diff - config.true_diff
+    sums = (m, float(dev.sum()), float((dev * dev).sum()),
             int(np.count_nonzero(sig)), float(diff[sig].sum()), wrong)
     return sums, hist
 
@@ -292,11 +299,11 @@ def run_batch(config: SimConfig, threads: int | None = None) -> SimSummary:
     for sums, chunk_hist in _partials(config, threads):
         totals = tuple(a + b for a, b in zip(totals, sums))
         hist += chunk_hist
-    count, sum_diff, sum_diff_sq, count_sig, sum_diff_sig, count_wrong = totals
+    count, sum_dev, sum_dev_sq, count_sig, sum_diff_sig, count_wrong = totals
 
-    mean = sum_diff / count
+    mean = config.true_diff + sum_dev / count
     if count > 1:
-        var = max(sum_diff_sq - sum_diff * sum_diff / count, 0.0) / (count - 1)
+        var = max(sum_dev_sq - sum_dev * sum_dev / count, 0.0) / (count - 1)
     else:
         var = 0.0
     mean_sig = sum_diff_sig / count_sig if count_sig > 0 else math.nan

@@ -19,6 +19,7 @@ import fdrlab
 from fdrlab import cli
 from fdrlab.cli import build_parser, main
 from fdrlab.errors import FdrLabError
+from fdrlab.montecarlo import STREAM_VERSION
 
 
 _SCALARS = ("count_significant", "fraction_significant", "mean_diff_all",
@@ -474,11 +475,11 @@ def test_json_writes_null_for_nan_and_infinity(capsys, argv, key):
 @pytest.mark.parametrize("argv, expected", [
     (["fdr", "--prevalence", "0.1", "--power", "0.01", "--alpha", "0.05"],
      "power (0.01) below alpha (0.05): test performs worse than chance"),
-    # at this seed the effect batch has 6 significant tests of 200, and the
-    # null batch 12
+    # at this seed the effect batch has 9 significant tests of 200, and the
+    # null batch 18
     (["simulate", "--n-per-group", "3", "--delta", "0.1", "--prevalence", "0.5",
-      "--n-sims", "200", "--seed", "3", "--threads", "1"],
-     "power (0.03) below alpha (0.06): test performs worse than chance"),
+      "--n-sims", "200", "--seed", "13", "--threads", "1"],
+     "power (0.045) below alpha (0.09): test performs worse than chance"),
 ], ids=["fdr", "simulate"])
 def test_library_warning_prints_as_one_warning_line(argv, expected):
     # A subprocess, because the suite turns every warning into an error.
@@ -508,11 +509,11 @@ def test_csv_mapping_format(capsys):
 
 # SHA-256 of a command's stdout in table, csv and json, in that order: the
 # 22 commands of the `analytic` benchmark workload, less `fdr --prevalence 0`
-# (its JSON holds an infinite prior odds), two simulations and an inflation
-# curve.  The simulated digests pass through numpy's SIMD log and exp, as the
-# run_batch digests in test_montecarlo.py do, so other hardware may give
-# other digests without any change to the code.  The two simulations print
-# `stream_version`, so a new stream version re-pins them.
+# (its JSON holds an infinite prior odds), then two simulations and an
+# inflation curve, keyed by stream version.  The simulated digests pass
+# through numpy's SIMD log and exp, as the run_batch digests in
+# test_montecarlo.py do, so other hardware may give other digests without
+# any change to the code.
 _STDOUT_DIGESTS = {
     "power --solve --target 0.8 --d 1":
         "b1accfec30e14f0bd51bf16d6d26d7038b6b8c1804f39302cc7d09f3060fa19f",
@@ -556,19 +557,27 @@ _STDOUT_DIGESTS = {
         "fbe612f57c9d1a594301f87b8085897f9f0903772f0d729f55c19df27c3efce8",
     "berger --target-fdr 0.05":
         "f1a67dfc219e71341cfa60397547d012c1e3775688f41f92a169a18e1ce0dde9",
-    "simulate --n-per-group 4 --delta 1 --n-sims 2000 --seed 1":
-        "5ed620448b9969477b3e9f609915c46c1a6719b52e3049f3c61b620c1284b694",
-    "simulate --n-per-group 4 --delta 1 --n-sims 2000 --seed 1 --prevalence 0.1 --interval 0.045,0.05":
-        "594dc401855b35b4a45ba569875e45e49cbb02efd6f06085504c334b4f6f9b55",
-    "inflation --n-sims 300 --seed 3":
-        "31ae88152f04d51d8de5de0337710b7b16072bc06a1c803edcce7d14aa63f9ea",
 }
 
 
-@pytest.mark.parametrize("command", list(_STDOUT_DIGESTS))
+# the older tables stay as the record of what each version gave
+_SIMULATED_STDOUT_DIGESTS = {
+    4: {
+        "simulate --n-per-group 4 --delta 1 --n-sims 2000 --seed 1":
+            "5ed620448b9969477b3e9f609915c46c1a6719b52e3049f3c61b620c1284b694",
+        "simulate --n-per-group 4 --delta 1 --n-sims 2000 --seed 1 --prevalence 0.1 --interval 0.045,0.05":
+            "594dc401855b35b4a45ba569875e45e49cbb02efd6f06085504c334b4f6f9b55",
+        "inflation --n-sims 300 --seed 3":
+            "31ae88152f04d51d8de5de0337710b7b16072bc06a1c803edcce7d14aa63f9ea",
+    },
+}
+
+
+@pytest.mark.parametrize("command", [*_STDOUT_DIGESTS, *_SIMULATED_STDOUT_DIGESTS[4]])
 def test_stdout_digests_pinned(capsys, command):
     digest = hashlib.sha256()
     for fmt in cli._FORMATS:
         assert main([*command.split(), "--format", fmt]) == 0
         digest.update(capsys.readouterr().out.encode())
-    assert digest.hexdigest() == _STDOUT_DIGESTS[command]
+    pinned = {**_STDOUT_DIGESTS, **_SIMULATED_STDOUT_DIGESTS[STREAM_VERSION]}
+    assert digest.hexdigest() == pinned[command]

@@ -592,22 +592,28 @@ _MAX64 = 2 ** 64 - 1
 
 
 class TestStreamBits:
-    # SHA-256 of the raw float64 bytes of RngStream(seed, index).uniforms(k).
-    # The uniforms come from integer arithmetic and one exact scaling, so the
-    # digests hold on every platform; a change here is a new stream version.
+    # SHA-256 of the raw float64 bytes of RngStream(seed, index).uniforms(k),
+    # by stream version; the older tables stay as the record of what each
+    # version gave.  The uniforms come from integer arithmetic and one exact
+    # scaling, so the digests hold on every platform.
     PINNED = {
-        (0, 0, 1): "bb6344a9e7754e2a1dd38280530883ff63c5df896f71ba058122d876d01fb967",
-        (7, 3, 6): "82b77660b23358ef6c91687bfd17e8f8f3af285ce408fe4ef4b21e9e52817d21",
-        (12345, 4095, 32): "bbafa99b936461b2ed3d6ec21205c5421fd9f9d2bffb02950e18c9f5ebef411c",
-        (_MAX64, _MAX64, 9): "953ecc2129d9241ea41026897bc2a1114ed5b95eaa55e0f1ad67ed669e5d8f96",
-        (_MAX64, 0, 100): "54449c4d2f8d70cee92c0c6effab246d8c89e26de8f100b9892cc172500cd6c7",
-        (0, _MAX64, 7): "fbd7a67d2da59b184f685949100838cf491ce8ec1ebadb1a569313f16e864a93",
+        # versions 1 to 4: numpy's Philox keyed by (seed, index), counters
+        # 1, 2, ...
+        4: {
+            (0, 0, 1): "bb6344a9e7754e2a1dd38280530883ff63c5df896f71ba058122d876d01fb967",
+            (7, 3, 6): "82b77660b23358ef6c91687bfd17e8f8f3af285ce408fe4ef4b21e9e52817d21",
+            (12345, 4095, 32): "bbafa99b936461b2ed3d6ec21205c5421fd9f9d2bffb02950e18c9f5ebef411c",
+            (_MAX64, _MAX64, 9): "953ecc2129d9241ea41026897bc2a1114ed5b95eaa55e0f1ad67ed669e5d8f96",
+            (_MAX64, 0, 100): "54449c4d2f8d70cee92c0c6effab246d8c89e26de8f100b9892cc172500cd6c7",
+            (0, _MAX64, 7): "fbd7a67d2da59b184f685949100838cf491ce8ec1ebadb1a569313f16e864a93",
+        },
     }
 
-    @pytest.mark.parametrize("seed, index, k", sorted(PINNED))
+    @pytest.mark.parametrize("seed, index, k", sorted(PINNED[4]))
     def test_uniforms_digest(self, seed, index, k):
         u = RngStream(seed, index).uniforms(k)
-        assert hashlib.sha256(u.tobytes()).hexdigest() == self.PINNED[seed, index, k]
+        assert (hashlib.sha256(u.tobytes()).hexdigest()
+                == self.PINNED[STREAM_VERSION][seed, index, k])
 
 
 class TestKernelBits:
@@ -665,6 +671,28 @@ class TestBlockUniforms:
                                   whole[:size].view(np.uint64))
             assert np.array_equal(drawn[k].uniforms(9).view(np.uint64),
                                   whole[k + 1:k + 10].view(np.uint64))
+
+    @pytest.mark.parametrize("keys", [
+        [(3, _MAX64), (3, 0), (3, 1)],
+        [(3, 5), (4, 6), (3, 7), (3, 8)],
+        [(3, 9), (3, 8), (3, 7), (3, 7), (3, 8)],
+        [(_MAX64, 12)],
+    ], ids=["index-wraps", "seed-changes", "reversed-and-repeated", "one-stream"])
+    @pytest.mark.parametrize("size", [1, 4, 5, 9])
+    def test_runs_bit_equal_to_scalar_streams(self, keys, size):
+        # a block draw takes each run of consecutive indices under one seed
+        # as one counter range; 2**64 - 1 then 0 is not such a run, although
+        # the uint64 difference is 1
+        scalar = np.array([RngStream(s, i).uniforms(size) for s, i in keys])
+        block = block_uniforms([RngStream(s, i) for s, i in keys], size)
+        assert np.array_equal(block.view(np.uint64), scalar.view(np.uint64))
+
+    def test_run_longer_than_a_tile(self):
+        # a run is drawn in row tiles of 2**14 streams
+        rows = [0, 2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1]
+        block = block_uniforms([RngStream(8, 100 + i) for i in range(2 ** 14 + 2)], 6)
+        scalar = np.array([RngStream(8, 100 + i).uniforms(6) for i in rows])
+        assert np.array_equal(block[rows].view(np.uint64), scalar.view(np.uint64))
 
     def test_size_validation(self):
         for size in (-1, 2.0, None):

@@ -174,11 +174,16 @@ def test_p_value_digest():
 def test_continued_fraction_p_value_digest():
     # as above at n = 66 and 100 (a = df / 2 = 65 and 99), where every p
     # value comes from the incomplete beta's continued fraction.  Not keyed
-    # by STREAM_VERSION: a version that changes only the other paths of the
-    # p value leaves these bits as they are.
+    # by STREAM_VERSION: the inputs are stream version 4's uniforms, the
+    # draws of numpy's Philox keyed by (2025, i), formed here, so a version
+    # that changes only the uniforms or the other paths of the p value leaves
+    # these bits as they are.
     digest = hashlib.sha256()
     for n in (66, 100):
-        z = normal_quantile(block_uniforms([RngStream(2025, i) for i in range(4096)], 2 * n))
+        words = np.array([np.random.Philox(key=[2025, i]).random_raw(2 * n)
+                          for i in range(4096)])
+        u = np.minimum((words >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54, 1.0 - 2.0 ** -53)
+        z = normal_quantile(u)
         for delta in (0.0, 1.0):
             digest.update(batch_two_sample_t(z[:, :n], z[:, n:] + delta)[2].tobytes())
     assert digest.hexdigest() == (
