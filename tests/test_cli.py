@@ -570,6 +570,14 @@ _SIMULATED_STDOUT_DIGESTS = {
         "inflation --n-sims 300 --seed 3":
             "31ae88152f04d51d8de5de0337710b7b16072bc06a1c803edcce7d14aa63f9ea",
     },
+    5: {
+        "simulate --n-per-group 4 --delta 1 --n-sims 2000 --seed 1":
+            "4321a6673c071a1bc09bffaa72c7d8eb23ebbbc3f63c6e20382c4f37d0d699f0",
+        "simulate --n-per-group 4 --delta 1 --n-sims 2000 --seed 1 --prevalence 0.1 --interval 0.045,0.05":
+            "87bc9c00bc22ce22a3535d9c5dca35f77bfaa56c55668a1824751b2836bca953",
+        "inflation --n-sims 300 --seed 3":
+            "71a1d1f639aa8e4fb5bf7b0927965e21c3cf8d5593f854262a03ad61697b8a82",
+    },
 }
 
 

@@ -607,6 +607,16 @@ class TestStreamBits:
             (_MAX64, 0, 100): "54449c4d2f8d70cee92c0c6effab246d8c89e26de8f100b9892cc172500cd6c7",
             (0, _MAX64, 7): "fbd7a67d2da59b184f685949100838cf491ce8ec1ebadb1a569313f16e864a93",
         },
+        # version 5: block b of stream i at counter i + 2**64 * b + 1 under
+        # the key (seed, 0); the first block of stream 0 is version 4's
+        5: {
+            (0, 0, 1): "bb6344a9e7754e2a1dd38280530883ff63c5df896f71ba058122d876d01fb967",
+            (7, 3, 6): "374939d999130e0ba4b5bd3abee5fef4febac311172189e91d1b6cf3a9479207",
+            (12345, 4095, 32): "4eeb7051260b7e285efe4ebce706b1c84f9a4a5f459696dfcb419c90a80527fc",
+            (_MAX64, _MAX64, 9): "256c28ad6ec92f78989395b592a587f60ad1adfefc56cf6b00913b07953978b8",
+            (_MAX64, 0, 100): "960fb7cff56006b27cbd38e4c6e88b085011e7c853c589d4df8e5d7bcb8aa98d",
+            (0, _MAX64, 7): "5cb76c9a9eab873859fe1ba20c0bed1f077ffc14fc030470dd4d6a2af971bc32",
+        },
     }
 
     @pytest.mark.parametrize("seed, index, k", sorted(PINNED[4]))
@@ -635,6 +645,8 @@ class TestKernelBits:
         3: "639a9ffbd1b02511df3b4118751b3cc08648b852cd9c82e930f8d32d80650647",
         # version 4 changed only the p value's incomplete beta
         4: "639a9ffbd1b02511df3b4118751b3cc08648b852cd9c82e930f8d32d80650647",
+        # version 5 changed the 10,000 seeded uniforms
+        5: "adaea146ff81fa707c056ee3e94093e8775b52c450cbf4f5a2aa6114bb624f31",
     }
     CDF = "901a0c8c1dc23c4f091839a16640ae516c911c657effc0ea65b240a398398d1c"
 

@@ -105,6 +105,18 @@ _BATCH_DIGESTS = {
         (3, 0): "2d785c321e1ab2c5c021f4333f947808fb4c9ef0271fc6c1d04f6c0171aece12",
         (3, _MAX64): "f02a19783e886e560bd1ced577451c2d1988d14cda66800b1f1cbb5a0327a311",
     },
+    # version 5: block b of stream i at counter i + 2**64 * b + 1 under the
+    # key (seed, 0), and the moment sums centred on the true difference
+    5: {
+        (50, 0): "68d65f25f13487506d6b3656ec2c332c2703aa15c0aa5a7f464bba11d7c15be6",
+        (50, _MAX64): "744bb969e26875e5d7ba24d5965c78650f052bc7505c75fb99163a62f0473174",
+        (2, 0): "9c5a493d454948c0a4bb52a6909ee97360b56583b47c7b75c0d22a90baff4740",
+        (2, _MAX64): "1ffdf40ddfc40d873595d6f7d722a0baa84d61872cfe6ef706f02e24b98044b9",
+        (16, 0): "9af62488ea73ff80d96e9f25ec544f8c418a61bfaeadd84cfb9738fcbc1f20e1",
+        (16, _MAX64): "c520f3e8a8dd0eb085d7ff9a2eec9485f7f6f5479631fd5d01e607bb6a82c1a1",
+        (3, 0): "57a82f2d8ca47d3009d62bb0e1409ff6f652957dc92ed028192bc55dccce9589",
+        (3, _MAX64): "11a543dd13001b9dfe2c70530f5b11297b155b275f2a5e12a65f69ee77f17663",
+    },
 }
 
 

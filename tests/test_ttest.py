@@ -159,6 +159,7 @@ _P_DIGESTS = {
     2: "2aba18bbe7f2af9c086a162ba085ff4af36ee2dd696f360f8084098d0c26f28e",
     3: "ec8fa97b6f5a41e6feaa08548152dc54debec7b5416bd9b7e13a3cfdb23db639",
     4: "bfd8abff7bfd3c7ea6da9bd1add2a8845a840d40fd74e444b55473260711c006",
+    5: "77d44152ee4b0ade1af65ec69075db4bd8355c1ff1c4540de34a4185966c686f",
 }
 
 
