@@ -634,7 +634,7 @@ class RngStream:
     indices never share a counter, so a batch of streams can be consumed in
     any order, by any number of workers, with identical results; and block b
     of consecutive streams is one contiguous counter range, which
-    `block_uniforms` draws in one call.
+    `block_uniforms` draws with one numpy call.
 
     Uniform draws are returned on the open interval (0, 1): the raw 53-bit
     lattice k/2^53 is shifted to cell midpoints so that the inverse-CDF

@@ -12,9 +12,6 @@ block column of its uniforms is one counter range of numpy's Philox.
 A chunk past n = 64 takes its rows in slices of at most 2**19 uniforms,
 with the same bits, and the uniform and quantile kernels work in tiles of
 about 2**16 elements, so a chunk holds about 7 MiB at most up to n = 2**18.
-A chunk sums each experiment's difference less the true difference, and
-its square, so that the sd of the differences does not cancel when the
-true difference is far above the sd.
 Chunk ranges are generated lazily and at most 2 * threads chunks are in
 flight, so memory does not grow with the batch size either.
 
