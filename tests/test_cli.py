@@ -581,7 +581,7 @@ _SIMULATED_STDOUT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("command", [*_STDOUT_DIGESTS, *_SIMULATED_STDOUT_DIGESTS[4]])
+@pytest.mark.parametrize("command", [*_STDOUT_DIGESTS, *_SIMULATED_STDOUT_DIGESTS[STREAM_VERSION]])
 def test_stdout_digests_pinned(capsys, command):
     digest = hashlib.sha256()
     for fmt in cli._FORMATS:

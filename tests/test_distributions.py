@@ -619,7 +619,7 @@ class TestStreamBits:
         },
     }
 
-    @pytest.mark.parametrize("seed, index, k", sorted(PINNED[4]))
+    @pytest.mark.parametrize("seed, index, k", sorted(PINNED[STREAM_VERSION]))
     def test_uniforms_digest(self, seed, index, k):
         u = RngStream(seed, index).uniforms(k)
         assert (hashlib.sha256(u.tobytes()).hexdigest()
