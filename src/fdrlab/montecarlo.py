@@ -11,7 +11,8 @@ with one `block_uniforms` call, which gives the bits each stream's
 block column of its uniforms is one counter range of numpy's Philox.
 A chunk past n = 64 takes its rows in slices of at most 2**19 uniforms,
 with the same bits, and the uniform and quantile kernels work in tiles of
-about 2**16 elements, so a chunk holds about 7 MiB at most up to n = 2**18.
+about 2**16 elements, so a chunk holds about 6 MiB at most up to n = 2**15,
+where one row fills a tile (12 MiB at n = 2**17).
 Chunk ranges are generated lazily and at most 2 * threads chunks are in
 flight, so memory does not grow with the batch size either.
 
@@ -99,7 +100,7 @@ def histogram_ticks(bin_width: float) -> int:
 
 # Most worker threads `run_batch` accepts.  Threads never change a result,
 # and past the core count they buy nothing; each one running a chunk holds
-# about 7 MiB up to n = 2**18, and 2 * threads chunks may be in flight.
+# about 6 MiB up to n = 2**15, and 2 * threads chunks may be in flight.
 MAX_THREADS = 256
 
 
