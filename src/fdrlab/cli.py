@@ -16,10 +16,14 @@ simulation subcommands.
 
 Every flag value is checked by the library's own rule (`fdrlab.errors`:
 `finite`, `positive`, `probability`, `open_probability`,
-`integer_at_least`, `uint64_value`; `fdrlab.montecarlo` for grid bounds,
-bin widths, curve sizes, threads and simulated means and sds) through one
-adapter, `_flag`, so a value the library would reject exits 2 naming the
-flag.  The parser is built once per process.
+`integer_at_least`, `uint64_value`, and the simulation's rules for grid
+bounds, bin widths, curve sizes, threads and simulated means and sds)
+through one adapter, `_flag`, so a value the library would reject exits 2
+naming the flag.  The parser is built once per process.
+
+Building the parser imports no numpy: `power` and `montecarlo` are imported
+inside the handlers that use them, so ``screen``, ``fdr``, ``berger`` and
+every flag error start without loading numpy or the simulation engine.
 """
 
 from __future__ import annotations
@@ -33,11 +37,11 @@ import os
 import sys
 import warnings
 
-from .errors import (ConfigurationError, FdrLabError, finite, integer_at_least,
-                     open_probability, positive, probability, uint64_value)
+from .errors import (DEFAULT_MASTER_SEED, MAX_THREADS, ConfigurationError, FdrLabError,
+                     curve_sizes, finite, grid_interval, histogram_ticks,
+                     integer_at_least, open_probability, positive, probability,
+                     simulated_scale, simulated_sd, thread_count, uint64_value)
 from . import fdr_calculus as fc
-from . import montecarlo as mc
-from . import power as pw
 
 _FORMATS = ("table", "csv", "json")
 _DEFAULT_N_LIST = (3, 4, 5, 6, 8, 10, 12, 14, 16, 20, 50)
@@ -168,6 +172,8 @@ def _cmd_berger(args) -> dict | list[dict]:
 
 
 def _cmd_power(args) -> dict:
+    from . import power as pw
+
     if args.solve:
         if args.target is None:
             raise ConfigurationError("--solve requires --target")
@@ -184,7 +190,7 @@ def _resolve_seed(args) -> int:
         return args.seed
     env = os.environ.get("FDRLAB_SEED")
     if env is None:
-        return mc.DEFAULT_MASTER_SEED
+        return DEFAULT_MASTER_SEED
     try:
         return _seed(env)
     except argparse.ArgumentTypeError as exc:
@@ -195,6 +201,8 @@ def _cmd_simulate(args) -> dict:
     """JSON nests each batch's full summary under its tag ("null",
     "effect"), or gives the single batch's summary itself; table and CSV
     flatten the scalars into one record, the tag as a key prefix."""
+    from . import montecarlo as mc
+
     seed = _resolve_seed(args)
     if args.interval is not None and args.prevalence is None:
         raise ConfigurationError("--interval requires --prevalence")
@@ -238,6 +246,8 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_inflation(args) -> list[dict]:
+    from . import montecarlo as mc
+
     n_values = sorted(set(args.n_list))
     if len(n_values) != len(args.n_list):
         dupes = sorted({n for n in args.n_list if args.n_list.count(n) > 1})
@@ -260,7 +270,7 @@ def _add_format(parser) -> None:
 
 def _add_sim_common(parser) -> None:
     parser.add_argument("--sd", default=1.0,
-                        type=_flag(float, mc.simulated_sd),
+                        type=_flag(float, simulated_sd),
                         help="common true standard deviation (default 1)")
     parser.add_argument("--n-sims", type=_int_at_least(1), default=100_000,
                         help="number of simulated experiments (default 100000)")
@@ -269,10 +279,10 @@ def _add_sim_common(parser) -> None:
                         help="significance threshold, p <= alpha (default 0.05)")
     parser.add_argument("--seed", type=_seed, default=None,
                         help="master seed (default: $FDRLAB_SEED, then "
-                             f"{mc.DEFAULT_MASTER_SEED})")
-    parser.add_argument("--threads", type=_flag(int, mc.thread_count),
-                        default=min(os.cpu_count() or 1, mc.MAX_THREADS),
-                        help=f"worker threads, at most {mc.MAX_THREADS}; never "
+                             f"{DEFAULT_MASTER_SEED})")
+    parser.add_argument("--threads", type=_flag(int, thread_count),
+                        default=min(os.cpu_count() or 1, MAX_THREADS),
+                        help=f"worker threads, at most {MAX_THREADS}; never "
                              "affects results")
 
 
@@ -337,20 +347,20 @@ def build_parser() -> argparse.ArgumentParser:
              "with seed+1)",
     )
     p.add_argument("--n-per-group", type=_int_at_least(2), required=True)
-    p.add_argument("--delta", type=_flag(float, mc.simulated_scale), required=True,
+    p.add_argument("--delta", type=_flag(float, simulated_scale), required=True,
                    help="true treatment-minus-control mean difference")
     _add_sim_common(p)
     p.add_argument("--prevalence", type=_flag(float, probability), default=None,
                    help="run paired null+effect batches and report mixture FDR")
     p.add_argument("--interval", default=None, metavar="LO,HI",
-                   type=_flag(_float_pair, lambda pair: mc.grid_interval(*pair)),
+                   type=_flag(_float_pair, lambda pair: grid_interval(*pair)),
                    help="also report the FDR among p values in (LO, HI]; "
                         "bounds on the 0.001 grid; requires --prevalence")
     p.add_argument("--emit-histogram", metavar="PATH", default=None,
                    help="write the p histogram as CSV (bin_left,count); with "
                         "--prevalence, writes PATH_null and PATH_effect")
     p.add_argument("--hist-bin-width", default=0.05,
-                   type=_flag(float, mc.histogram_ticks),
+                   type=_flag(float, histogram_ticks),
                    help="histogram bin width, a multiple of 0.001 (default 0.05)")
     _add_format(p)
     p.set_defaults(handler=_cmd_simulate)
@@ -358,11 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inflation",
                        help="effect-size inflation among significant tests "
                             "versus per-group sample size")
-    p.add_argument("--n-list", type=_flag(_int_list, mc.curve_sizes),
+    p.add_argument("--n-list", type=_flag(_int_list, curve_sizes),
                    default=_DEFAULT_N_LIST, metavar="N1,N2,...",
                    help="per-group sample sizes (default "
                         + ",".join(str(n) for n in _DEFAULT_N_LIST) + ")")
-    p.add_argument("--delta", type=_flag(float, mc.simulated_scale), default=1.0,
+    p.add_argument("--delta", type=_flag(float, simulated_scale), default=1.0,
                    help="true treatment-minus-control mean difference (default 1)")
     _add_sim_common(p)
     _add_format(p)

@@ -498,14 +498,24 @@ def student_t_cdf(t, df):
     Symmetric, cdf(-t) = 1 - cdf(t) to within one rounding; accepts array `t`.
     """
     df = positive(df, "df")
-    arr, scalar = _asarray_checked(t, "t")
     # P(T <= -|t|) = I_x(df/2, 1/2) / 2 at x = df / (df + t^2).  For t^2 < 3
     # it is 1/2 - I_y(1/2, df/2) / 2 at y = t^2 / (df + t^2) instead: there
     # x is near 1, and the 1 - x the incomplete beta would form loses the
-    # digits of y.  The branch not taken gets y = 0 or x = 1, where the
+    # digits of y.  Past |t| = 1.3e154, t * t overflows, rightly giving
+    # x = 0; y is formed from the central t^2 alone, so inf / inf never is.
+    if np.ndim(t) == 0:
+        # a float takes only its own branch, in `math` floats, with the
+        # array's operations in the array's order: an element's bits
+        t = finite(t, "t")
+        tt = t * t
+        if tt < 3.0:
+            tail_half = 0.5 - 0.5 * regularized_incomplete_beta(0.5, 0.5 * df, tt / (df + tt))
+        else:
+            tail_half = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, df / (df + tt))
+        return 1.0 - tail_half if t > 0.0 else tail_half
+    arr, _ = _asarray_checked(t, "t")
+    # The branch an element does not take gets y = 0 or x = 1, where the
     # incomplete beta's front factor is 0 and it gives 0 or 1.
-    # Past |t| = 1.3e154, t * t overflows, rightly giving x = 0; y is formed
-    # from the central t^2 alone, so inf / inf never is.
     with np.errstate(over="ignore"):
         tt = arr * arr
     central = tt < 3.0
@@ -515,7 +525,7 @@ def student_t_cdf(t, df):
     far = 0.5 * regularized_incomplete_beta(
         0.5 * df, 0.5, np.where(central, 1.0, df / (df + tt)))
     tail_half = np.where(central, near, far)
-    return _ret(np.where(arr > 0.0, 1.0 - tail_half, tail_half), scalar)
+    return np.where(arr > 0.0, 1.0 - tail_half, tail_half)
 
 
 def noncentral_t_cdf(t, df, ncp):

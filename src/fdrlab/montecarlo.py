@@ -21,10 +21,12 @@ the half-open cell (k/1000, (k+1)/1000]), so a batch has flat memory cost
 and any grid-aligned interval count is exact.
 
 The input rules for grid bounds, histogram bin widths, curve sample sizes,
-thread counts and simulated means and sds live here once each
+thread counts and simulated means and sds live in `fdrlab.errors`, which
+imports no numpy, so the CLI checks its flags without loading the engine
 (`grid_index`, `grid_interval`, `histogram_ticks`, `curve_sizes`,
 `thread_count`, `simulated_scale`, and `simulated_sd`, which bounds an sd
-below at 1e-100 as well); the CLI calls the same functions for its flags.
+below at 1e-100 as well).  This module imports those same objects, with
+`MAX_THREADS` and `DEFAULT_MASTER_SEED`, and serves them under its own name.
 """
 
 from __future__ import annotations
@@ -40,13 +42,14 @@ import numpy as np
 
 from . import power as power_mod
 from .distributions import RngStream, block_uniforms, normal_quantile
-from .errors import (ConfigurationError, DomainError, UndefinedResultError, finite,
-                     integer_at_least, open_probability, probability,
+# grid_index and MAX_THREADS are not used here, only served under this name
+from .errors import (DEFAULT_MASTER_SEED, MAX_THREADS, _N_BINS, ConfigurationError,
+                     UndefinedResultError, curve_sizes, grid_index, grid_interval,
+                     histogram_ticks, integer_at_least, open_probability,
+                     probability, simulated_scale, simulated_sd, thread_count,
                      uint64_value)
 from .fdr_calculus import Breakdown, TestScenario, significance_breakdown
 from .ttest import batch_two_sample_t
-
-DEFAULT_MASTER_SEED = 12345
 
 # Experiments per shard.  Fixed: the shard layout (not the thread count)
 # determines summation order, so changing this constant would perturb last
@@ -64,90 +67,9 @@ _UNIFORM_BUDGET = 2 ** 19
 # bumps it, and CHANGES.md records what each version changed.
 STREAM_VERSION = 5
 
-_N_BINS = 1000
+# Edges of the p-value grid; edge k is the double k / 1000.0 that the grid
+# rules compare against.
 _BIN_EDGES = np.arange(_N_BINS + 1) / 1000.0
-
-
-def grid_index(value: float, name: str = "value") -> int:
-    """Index of `value` on the 0.001 p-value grid; rejects off-grid input,
-    including infinities and NaN."""
-    value = float(value)
-    idx = int(round(value * 1000.0)) if 0.0 <= value <= 1.0 else -1
-    if idx < 0 or value != _BIN_EDGES[idx]:
-        raise DomainError(f"{name} must lie on the 0.001 grid in [0, 1]; got {value}")
-    return idx
-
-
-def grid_interval(lo: float, hi: float) -> tuple[int, int]:
-    """Grid indices of the interval (lo, hi]; both bounds on the 0.001 grid
-    and lo < hi."""
-    lo_idx, hi_idx = grid_index(lo, "lo"), grid_index(hi, "hi")
-    if lo_idx >= hi_idx:
-        raise DomainError(f"interval must satisfy lo < hi; got ({lo}, {hi}]")
-    return lo_idx, hi_idx
-
-
-def histogram_ticks(bin_width: float) -> int:
-    """Grid cells per histogram bin of `bin_width`, which must be a multiple
-    of 0.001 that divides 1 evenly."""
-    bin_width = float(bin_width)
-    ticks = int(round(bin_width * 1000.0)) if 0.0 < bin_width <= 1.0 else 0
-    if ticks < 1 or bin_width != ticks / 1000.0 or _N_BINS % ticks != 0:
-        raise DomainError("bin width must be a multiple of 0.001 that divides 1 "
-                          f"evenly; got {bin_width}")
-    return ticks
-
-
-# Most worker threads `run_batch` accepts.  Threads never change a result,
-# and past the core count they buy nothing; each one running a chunk holds
-# about 6 MiB up to n = 2**15, and 2 * threads chunks may be in flight.
-MAX_THREADS = 256
-
-
-def thread_count(threads: int | None) -> int:
-    """`threads` as an int in [1, MAX_THREADS]; None means 1."""
-    if threads is None:
-        return 1
-    if (not isinstance(threads, (int, np.integer)) or isinstance(threads, bool)
-            or not 1 <= threads <= MAX_THREADS):
-        raise DomainError(f"threads must be an integer in [1, {MAX_THREADS}]; "
-                          f"got {threads!r}")
-    return int(threads)
-
-
-# Largest magnitude of a simulated mean or sd.  A chunk squares deviations
-# and differences, which overflows once they pass about 1e154; 1e100 leaves
-# room for the normal draws (|z| < 8.3) and for sums over n and n_sims.
-_MAX_SCALE = 1e100
-
-
-def simulated_scale(value, name: str = "value", error: type = DomainError) -> float:
-    """`value` as a float, if it is finite and at most 1e100 in magnitude:
-    the rule for a simulated mean, and `simulated_sd`'s upper bound."""
-    value = finite(value, name, error)
-    if abs(value) > _MAX_SCALE:
-        raise error(f"{name} must be at most {_MAX_SCALE:g} in magnitude; got {value}")
-    return value
-
-
-def simulated_sd(value, name: str = "value", error: type = DomainError) -> float:
-    """`value` as a float in [1e-100, 1e100]: the rule for a simulated sd.
-    The floor is 1/_MAX_SCALE: a chunk squares deviations, which vanish near
-    sd = 1e-160 at n = 2, and the batch then fails as if its observations
-    were identical."""
-    value = simulated_scale(value, name, error)
-    if value < 1.0 / _MAX_SCALE:
-        raise error(f"{name} must be at least {1.0 / _MAX_SCALE:g}; got {value}")
-    return value
-
-
-def curve_sizes(n_values: Sequence[int]) -> list[int]:
-    """The per-group sample sizes of an inflation curve as ints; there must
-    be at least one, and every one an integer >= 3."""
-    if len(n_values) == 0 or any(not isinstance(n, (int, np.integer)) or n < 3
-                                 for n in n_values):
-        raise DomainError("every n in the curve must be an integer >= 3")
-    return [int(n) for n in n_values]
 
 
 @dataclass(frozen=True)
