@@ -5,14 +5,15 @@ package is pinned by this one file: a rational erfc (Cody's approximation),
 Wichura's AS 241 normal quantile (one path, for a float as for an array;
 `power` takes its float starting quantiles from `statistics.NormalDist`,
 the same algorithm in C), the regularized incomplete beta, the central
-Student t CDF through it, and the noncentral t CDF as a Gauss-Legendre
-quadrature of E[Phi(t*W - ncp)] over log W, W = sqrt(chi2_df / df), in
-tiles of 8 values of t.  The incomplete beta runs a Lentz continued
-fraction in numpy for an array and in `math` floats for one value, but
-forms its front factor with numpy's ufuncs for both, so a float has an
-array element's bits everywhere.  Its log beta is a Stirling difference at
-large parameters; at b = 1/2 and an integer a <= 64 (the t test's even df)
-a finite sum by Horner gives every value of at least 1e-3.
+Student t CDF through it (one value at a time), and the noncentral t CDF
+as a Gauss-Legendre quadrature of E[Phi(t*W - ncp)] over log W,
+W = sqrt(chi2_df / df), in tiles of 8 values of t.  The incomplete beta
+runs a Lentz continued fraction in numpy for an array and in `math` floats
+for one value, but forms its front factor with numpy's ufuncs for both, so
+a float has an array element's bits everywhere.  Its log beta is a
+Stirling difference at large parameters; at b = 1/2 and an integer a <= 64
+(the t test's even df) a finite sum by Horner gives every value of at
+least 1e-3.
 
 All distribution functions accept a float or a numpy array and return the
 matching kind.  Random draws come from `RngStream`, a counter-based
@@ -495,37 +496,30 @@ def _half_sum(terms: int, x):
 def student_t_cdf(t, df):
     """CDF of Student's t with `df` degrees of freedom.
 
-    Symmetric, cdf(-t) = 1 - cdf(t) to within one rounding; accepts array `t`.
+    Symmetric, cdf(-t) = 1 - cdf(t) to within one rounding.  The tail is
+    evaluated for one float, in `math` floats; an array `t` takes that path
+    once per element and keeps its shape.  That costs 1.0-2.3 ms for 100
+    elements and 10-22 ms for 1000 (df = 4, 30 and 313956; 2-vCPU Xeon,
+    Python 3.11), several times what one vectorised pass over 1000 would;
+    the package passes one value, or two from `noncentral_t_cdf` at
+    ncp = 0.
     """
     df = positive(df, "df")
+    if np.ndim(t) != 0:
+        arr = np.asarray(t, dtype=np.float64)
+        return np.array([student_t_cdf(v, df) for v in arr.ravel().tolist()]).reshape(arr.shape)
     # P(T <= -|t|) = I_x(df/2, 1/2) / 2 at x = df / (df + t^2).  For t^2 < 3
     # it is 1/2 - I_y(1/2, df/2) / 2 at y = t^2 / (df + t^2) instead: there
     # x is near 1, and the 1 - x the incomplete beta would form loses the
     # digits of y.  Past |t| = 1.3e154, t * t overflows, rightly giving
-    # x = 0; y is formed from the central t^2 alone, so inf / inf never is.
-    if np.ndim(t) == 0:
-        # a float takes only its own branch, in `math` floats, with the
-        # array's operations in the array's order: an element's bits
-        t = finite(t, "t")
-        tt = t * t
-        if tt < 3.0:
-            tail_half = 0.5 - 0.5 * regularized_incomplete_beta(0.5, 0.5 * df, tt / (df + tt))
-        else:
-            tail_half = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, df / (df + tt))
-        return 1.0 - tail_half if t > 0.0 else tail_half
-    arr, _ = _asarray_checked(t, "t")
-    # The branch an element does not take gets y = 0 or x = 1, where the
-    # incomplete beta's front factor is 0 and it gives 0 or 1.
-    with np.errstate(over="ignore"):
-        tt = arr * arr
-    central = tt < 3.0
-    tt_central = np.where(central, tt, 0.0)
-    near = 0.5 - 0.5 * regularized_incomplete_beta(
-        0.5, 0.5 * df, tt_central / (df + tt_central))
-    far = 0.5 * regularized_incomplete_beta(
-        0.5 * df, 0.5, np.where(central, 1.0, df / (df + tt)))
-    tail_half = np.where(central, near, far)
-    return np.where(arr > 0.0, 1.0 - tail_half, tail_half)
+    # x = 0.
+    t = finite(t, "t")
+    tt = t * t
+    if tt < 3.0:
+        tail_half = 0.5 - 0.5 * regularized_incomplete_beta(0.5, 0.5 * df, tt / (df + tt))
+    else:
+        tail_half = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, df / (df + tt))
+    return 1.0 - tail_half if t > 0.0 else tail_half
 
 
 def noncentral_t_cdf(t, df, ncp):

@@ -126,6 +126,20 @@ class OddsResult:
         return asdict(self)
 
 
+def _tree_cells(scale: float, pos_limb: float, pos_rate: float,
+                neg_limb_rate: float) -> tuple[float, float, float, float]:
+    """(tp, fn, fp, tn) of a tree whose cells sum to `scale`.
+
+    At scale 1.0, ``1.0 * x`` and ``1.0 - x`` are exact, so these are the
+    probability-level cells bit for bit.
+    """
+    present = scale * pos_limb
+    absent = scale - present
+    tp = present * pos_rate
+    fp = absent * neg_limb_rate
+    return tp, present - tp, fp, absent - fp
+
+
 def _tree_breakdown(pos_limb: float, pos_rate: float,
                     neg_limb_rate: float, scale: float) -> Breakdown:
     """Assemble a Breakdown from one tree parameterization.
@@ -135,11 +149,7 @@ def _tree_breakdown(pos_limb: float, pos_rate: float,
     `neg_limb_rate`.  Rates (fdr, ppv, npv, ...) are always computed from
     the probability-level cells so they do not depend on `scale`.
     """
-    tp_p = pos_limb * pos_rate
-    fn_p = pos_limb - tp_p
-    fp_p = (1.0 - pos_limb) * neg_limb_rate
-    tn_p = (1.0 - pos_limb) - fp_p
-
+    tp_p, fn_p, fp_p, tn_p = _tree_cells(1.0, pos_limb, pos_rate, neg_limb_rate)
     positives = tp_p + fp_p
     if positives <= 0.0:
         raise UndefinedResultError(
@@ -155,13 +165,7 @@ def _tree_breakdown(pos_limb: float, pos_rate: float,
     else:
         npv = math.nan
         fnr = math.nan
-
-    present = scale * pos_limb
-    absent = scale - present
-    tp = present * pos_rate
-    fn = present - tp
-    fp = absent * neg_limb_rate
-    tn = absent - fp
+    tp, fn, fp, tn = _tree_cells(scale, pos_limb, pos_rate, neg_limb_rate)
     return Breakdown(true_pos=tp, false_pos=fp, true_neg=tn, false_neg=fn,
                      fdr=fdr, ppv=ppv, npv=npv, fnr_among_negatives=fnr)
 

@@ -266,9 +266,9 @@ def mixture_fdr(spec: MixtureSpec) -> Breakdown:
     batches' significant fractions standing in for alpha and power, so the
     simulated and closed-form routes share one formula.
     """
-    fp_rate = spec.null_summary.count_significant / spec.null_summary.n_sims
-    tp_rate = spec.effect_summary.count_significant / spec.effect_summary.n_sims
-    scenario = TestScenario(prevalence=spec.prevalence, power=tp_rate, alpha=fp_rate)
+    scenario = TestScenario(prevalence=spec.prevalence,
+                            power=spec.effect_summary.fraction_significant,
+                            alpha=spec.null_summary.fraction_significant)
     return significance_breakdown(scenario)
 
 

@@ -67,11 +67,8 @@ def batch_two_sample_t(group1: np.ndarray, group2: np.ndarray):
     rows with zero pooled variance raise `DegenerateDataError`.  The
     squared deviations take one (m, n) scratch array per group.
 
-    p is I_x(df/2, 1/2) at the rounded x = df / (df + t^2).  When df is even
-    and df/2 is at most `distributions._SUM_A_MAX` (equal groups of up to
-    65), it is within 1e-15 absolute and 5e-13 relative of that: a finite
-    sum gives each p of at least 1e-3, the continued fraction the rest.
-    Otherwise the continued fraction gives every p, within 1e-10 absolute.
+    p is I_x(df/2, 1/2) at the rounded x = df / (df + t^2), with the
+    accuracy `regularized_incomplete_beta` states for b = 1/2 and a = df/2.
     """
     x = np.asarray(group1, dtype=np.float64)
     y = np.asarray(group2, dtype=np.float64)

@@ -394,6 +394,13 @@ class TestStudentT:
             ts = np.concatenate((rng.normal(0.0, 3.0, 30), rng.uniform(-40.0, 40.0, 30)))
             floats = [student_t_cdf(t, df) for t in map(float, ts)]
             assert student_t_cdf(ts, df).tolist() == floats
+            # an array keeps its shape, an empty one too
+            grid = student_t_cdf(ts.reshape(6, 10), df)
+            assert grid.shape == (6, 10) and grid.ravel().tolist() == floats
+            empty = student_t_cdf(np.empty((0, 3)), df)
+            assert empty.shape == (0, 3) and empty.dtype == np.float64
+        with pytest.raises(DomainError, match="t must be finite"):
+            student_t_cdf(np.array([1.0, math.nan, -2.0]), 30.0)
 
     def test_array_far_tail_at_large_df(self):
         # each element converges alone; the array used to wait for all of
@@ -416,6 +423,11 @@ class TestStudentT:
 class TestNoncentralT:
     def test_central_reduction(self):
         assert noncentral_t_cdf(1.5, 7.0, 0.0) == student_t_cdf(1.5, 7.0)
+        # the pair power_two_sample passes at d = 0, each element a float call
+        for df in (4.0, 30.0, 313956.0):
+            for t in (0.5, 2.1):
+                assert noncentral_t_cdf(np.array([-t, t]), df, 0.0).tolist() == [
+                    student_t_cdf(-t, df), student_t_cdf(t, df)]
         assert noncentral_t_cdf(1.5, 7.0, 1e-14) == pytest.approx(
             student_t_cdf(1.5, 7.0), abs=1e-10)
 
