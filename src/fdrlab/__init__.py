@@ -5,43 +5,29 @@ the minimum-Bayes-factor calibration of observed p values, analytic power
 of the two-sample t test, and a reproducible Monte Carlo engine that
 simulates large batches of such tests.
 
-The exact calculus and the error types are imported with the package.  The
-numpy-backed names (distributions, t tests, power, simulation) are
-imported on first use, so ``import fdrlab`` and the CLI's exact-calculus
-commands load no numpy.
+Every export resolves through one table, `_EXPORTS` (name -> the submodule
+that defines it), and is bound on first use (PEP 562).  Only two
+submodules load with the package, `errors` and `fdr_calculus`, so
+``import fdrlab`` and the CLI's exact-calculus commands load no numpy; the
+numpy-backed names (distributions, t tests, power, simulation) import
+their submodule when first looked up.
 """
 
 import importlib
 
-from .errors import (
-    DEFAULT_MASTER_SEED,
-    ConfigurationError,
-    DegenerateDataError,
-    DomainError,
-    FdrLabError,
-    UndefinedResultError,
-)
-from .fdr_calculus import (
-    Breakdown,
-    DiagnosticSpec,
-    OddsResult,
-    TestScenario,
-    alpha_for_target_fdr,
-    berger_min_bayes_factor,
-    berger_min_fdr,
-    berger_table,
-    posterior_odds,
-    screening_breakdown,
-    significance_breakdown,
-)
+from . import errors, fdr_calculus  # numpy-free; loaded with the package
 
 __version__ = "0.1.0"
 
-# Exported name -> the submodule that defines it, imported when the name is
-# first looked up (PEP 562).
-_LAZY = {
+_EXPORTS = {
     name: module
     for module, names in (
+        ("errors", ("DEFAULT_MASTER_SEED", "ConfigurationError", "DegenerateDataError",
+                    "DomainError", "FdrLabError", "UndefinedResultError")),
+        ("fdr_calculus", ("Breakdown", "DiagnosticSpec", "OddsResult", "TestScenario",
+                          "alpha_for_target_fdr", "berger_min_bayes_factor",
+                          "berger_min_fdr", "berger_table", "posterior_odds",
+                          "screening_breakdown", "significance_breakdown")),
         ("distributions", ("RngStream", "block_uniforms", "noncentral_t_cdf",
                            "normal_cdf", "normal_quantile",
                            "regularized_incomplete_beta", "sample_normal",
@@ -54,10 +40,11 @@ _LAZY = {
     )
     for name in names
 }
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):
-    module = _LAZY.get(name)
+    module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{module}", __name__), name)
@@ -67,49 +54,3 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *__all__})
-
-
-__all__ = [
-    "Breakdown",
-    "ConfigurationError",
-    "DEFAULT_MASTER_SEED",
-    "DegenerateDataError",
-    "DiagnosticSpec",
-    "DomainError",
-    "FdrLabError",
-    "InflationPoint",
-    "MixtureSpec",
-    "OddsResult",
-    "RngStream",
-    "SimConfig",
-    "SimSummary",
-    "TestResult",
-    "TestScenario",
-    "UndefinedResultError",
-    "alpha_for_target_fdr",
-    "batch_two_sample_t",
-    "berger_min_bayes_factor",
-    "berger_min_fdr",
-    "berger_table",
-    "block_uniforms",
-    "inflation_curve",
-    "interval_fdr",
-    "make_mixture",
-    "mixture_fdr",
-    "noncentral_t_cdf",
-    "normal_cdf",
-    "normal_quantile",
-    "posterior_odds",
-    "power_two_sample",
-    "regularized_incomplete_beta",
-    "run_batch",
-    "sample_normal",
-    "screening_breakdown",
-    "significance_breakdown",
-    "significant",
-    "solve_n",
-    "student_t_cdf",
-    "student_t_quantile",
-    "two_sample_t",
-    "write_histogram_csv",
-]

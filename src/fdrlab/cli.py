@@ -14,12 +14,11 @@ and no traceback; they cover rendering as well as the computation.  The
 environment variable FDRLAB_SEED supplies the default master seed for the
 simulation subcommands.
 
-Every flag value is checked by the library's own rule (`fdrlab.errors`:
-`finite`, `positive`, `probability`, `open_probability`,
-`integer_at_least`, `uint64_value`, and the simulation's rules for grid
-bounds, bin widths, curve sizes, threads and simulated means and sds)
-through one adapter, `_flag`, so a value the library would reject exits 2
-naming the flag.  The parser is built once per process.
+Every flag value is checked by the library's own rule, one of those that
+`fdrlab.errors` documents, through one adapter, `_flag`, so a value the
+library would reject exits 2 naming the flag.  A flag given without the
+one it depends on (``--target`` without ``--solve``) exits 2 as well, never
+ignored.  The parser is built once per process.
 
 Building the parser imports no numpy: `power` and `montecarlo` are imported
 inside the handlers that use them, so ``screen``, ``fdr``, ``berger`` and
@@ -172,11 +171,13 @@ def _cmd_berger(args) -> dict | list[dict]:
 
 
 def _cmd_power(args) -> dict:
+    if args.solve and args.target is None:
+        raise ConfigurationError("--solve requires --target")
+    if args.target is not None and not args.solve:
+        raise ConfigurationError("--target requires --solve")
     from . import power as pw
 
     if args.solve:
-        if args.target is None:
-            raise ConfigurationError("--solve requires --target")
         n = pw.solve_n(args.target, args.d, args.alpha)
         return {"target_power": args.target, "effect_size_d": args.d,
                 "alpha": args.alpha, "n_per_group": n,
@@ -201,11 +202,13 @@ def _cmd_simulate(args) -> dict:
     """JSON nests each batch's full summary under its tag ("null",
     "effect"), or gives the single batch's summary itself; table and CSV
     flatten the scalars into one record, the tag as a key prefix."""
-    from . import montecarlo as mc
-
     seed = _resolve_seed(args)
     if args.interval is not None and args.prevalence is None:
         raise ConfigurationError("--interval requires --prevalence")
+    if args.hist_bin_width is not None and not args.emit_histogram:
+        raise ConfigurationError("--hist-bin-width requires --emit-histogram")
+    from . import montecarlo as mc
+
     nested = args.format == "json"
 
     if args.prevalence is None:
@@ -234,7 +237,7 @@ def _cmd_simulate(args) -> dict:
         if args.emit_histogram:
             stem, ext = os.path.splitext(args.emit_histogram)
             path = f"{stem}_{tag}{ext or '.csv'}" if tag else args.emit_histogram
-            mc.write_histogram_csv(summary, path, args.hist_bin_width)
+            mc.write_histogram_csv(summary, path, args.hist_bin_width or 0.05)
         data = summary.to_dict()
         if nested:
             record.update({tag: data} if tag else data)
@@ -359,9 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-histogram", metavar="PATH", default=None,
                    help="write the p histogram as CSV (bin_left,count); with "
                         "--prevalence, writes PATH_null and PATH_effect")
-    p.add_argument("--hist-bin-width", default=0.05,
+    p.add_argument("--hist-bin-width", default=None,
                    type=_flag(float, histogram_ticks),
-                   help="histogram bin width, a multiple of 0.001 (default 0.05)")
+                   help="histogram bin width, a multiple of 0.001 (default "
+                        "0.05); requires --emit-histogram")
     _add_format(p)
     p.set_defaults(handler=_cmd_simulate)
 

@@ -503,6 +503,13 @@ def student_t_cdf(t, df):
     Python 3.11), several times what one vectorised pass over 1000 would;
     the package passes one value, or two from `noncentral_t_cdf` at
     ncp = 0.
+
+    Accuracy, relative to the lower tail at the exact t (mpmath): for
+    t^2 >= 3 the incomplete beta is given the rounded x = df / (df + t^2),
+    so the error grows with df, up to max(6e-14, 2.5e-16 * df): 4.1e-12 at
+    df = 1e5, 6.4e-9 at 1e8, 1.4e-6 at 1e10, 1.8e-4 at 1e12 and 2.5e-2 at
+    1e14 (t from -1.8 to -30).  For t^2 < 3 it stays within 1.3e-14 up to
+    df = 1e17.
     """
     df = positive(df, "df")
     if np.ndim(t) != 0:

@@ -59,6 +59,9 @@ def student_t_quantile(p: float, df: float) -> float:
     ulps, when Newton has stalled within the CDF's rounding noise of q, or
     after `_QUANTILE_STEPS` steps; ``student_t_cdf`` of the result returns p
     to within that noise (checked to 1e-9 relative to min(p, 1 - p)).
+    The result carries ``student_t_cdf``'s error, which grows with df (see
+    there): at df = 1e12 the 0.025 quantile comes out -1.9599723720549607,
+    4.3e-6 relative from the true -1.959963984540.
     """
     p = open_probability(p, "p")
     df = positive(df, "df")

@@ -1,8 +1,10 @@
-"""The public API: every name the package exports resolves, the export
-list stays sorted and free of duplicates, and each entry point imports
+"""The public API: every name the package exports resolves, through one
+table, to its submodule's object; the export list stays sorted and free of
+duplicates and is what a star import binds; and each entry point imports
 nothing beyond what it needs: no numpy for the exact calculus and the
 parser, no numpy.polynomial or numpy.ma for analytic power."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -21,6 +23,29 @@ def test_all_names_resolve_sorted_and_unique():
     assert [name for name in names if not hasattr(fdrlab, name)] == []
     assert names == sorted(names)
     assert len(set(names)) == len(names)
+
+
+def test_each_export_is_its_submodules_object():
+    # one table lists every public name with the submodule that defines it
+    assert fdrlab.__all__ == sorted(fdrlab._EXPORTS)
+    for name, module in fdrlab._EXPORTS.items():
+        submodule = importlib.import_module(f"fdrlab.{module}")
+        assert getattr(fdrlab, name) is getattr(submodule, name), name
+
+
+def test_star_import_binds_exactly_all():
+    code = ("import fdrlab; names = set(globals()); from fdrlab import *; "
+            "print(sorted(set(globals()) - names - {'names'}) == fdrlab.__all__)")
+    assert _run_python(code).strip() == "True"
+
+
+def test_import_loads_errors_and_fdr_calculus_without_numpy():
+    code = ("import sys, fdrlab; "
+            "print(sorted(set(vars(fdrlab)) & {'errors', 'fdr_calculus'}), "
+            "fdrlab.errors is sys.modules['fdrlab.errors'], "
+            "fdrlab.fdr_calculus is sys.modules['fdrlab.fdr_calculus'], "
+            "[m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')])")
+    assert _run_python(code).strip() == "['errors', 'fdr_calculus'] True True []"
 
 
 def test_power_leaves_numpy_polynomial_and_ma_unimported():

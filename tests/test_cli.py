@@ -139,6 +139,15 @@ class TestPower:
             main(["power", "--n", "1", "--d", "1"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "16", "--target", "0.8"], "--target requires --solve"),
+        (["--solve"], "--solve requires --target"),
+    ])
+    def test_target_and_solve_go_together(self, capsys, argv, message):
+        # a checked flag that the command would not use is an error, not ignored
+        code, out, err = run_cli(capsys, "power", *argv, "--d", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_solve_with_zero_effect_exits_3(self, capsys):
         # d = 0 is a finite --d, but no n reaches any power
         code, _, err = run_cli(capsys, "power", "--solve", "--target", "0.8", "--d", "0")
@@ -202,6 +211,20 @@ class TestSimulate:
         assert lines[0] == "bin_left,count"
         assert len(lines) == 21
         assert sum(int(line.split(",")[1]) for line in lines[1:]) == 1000
+
+    def test_histogram_export_takes_the_bin_width(self, capsys, tmp_path):
+        path = tmp_path / "hist.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--n-per-group", "4",
+                             "--delta", "0", "--n-sims", "1000", "--seed", "5",
+                             "--emit-histogram", str(path), "--hist-bin-width", "0.1")
+        assert code == 0
+        assert len(path.read_text().strip().splitlines()) == 11
+
+    def test_hist_bin_width_requires_emit_histogram(self, capsys):
+        # a width no histogram would use is an error, not ignored
+        code, out, err = run_cli(capsys, "simulate", "--n-per-group", "4", "--delta", "1",
+                                 "--n-sims", "10", "--hist-bin-width", "0.1")
+        assert (code, out, err) == (2, "", "error: --hist-bin-width requires --emit-histogram\n")
 
     def test_histogram_export_mixture_writes_both(self, capsys, tmp_path):
         path = tmp_path / "hist.csv"

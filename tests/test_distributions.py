@@ -386,6 +386,26 @@ class TestStudentT:
             ts = np.array([-3e-6, 1e-9, 2.0])
             assert list(student_t_cdf(ts, df)) == [student_t_cdf(t, df) for t in ts]
 
+    def test_large_df_against_mpmath(self):
+        # relative error of the lower tail against the incomplete beta at the
+        # exact t; for t^2 >= 3 the rounded x = df / (df + t^2) makes it grow
+        # with df.  The bounds are the measured maxima rounded up (4.0e-14 at
+        # df = 30, 5.8e-14 at 1e3, 2.5e-2 at 1e14; 1.3e-14 at t = -1.5);
+        # ROADMAP item 5, an exact 1 - x for the incomplete beta, will
+        # tighten them
+        def lower_tail(t, df):
+            with mpmath.workdps(50):
+                x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
+                return mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0, x, regularized=True) / 2
+
+        for df in (30.0, *(10.0 ** k for k in range(2, 15))):
+            for t in (-1.8, -1.96, -3.0, -5.0, -10.0, -30.0):
+                exact = lower_tail(t, df)
+                error = abs(float((student_t_cdf(t, df) - exact) / exact))
+                assert error <= max(6e-14, 2.5e-16 * df), (t, df, error)
+            exact = lower_tail(-1.5, df)
+            assert abs(float((student_t_cdf(-1.5, df) - exact) / exact)) <= 1.5e-14, df
+
     def test_scalar_path_matches_array_path(self):
         # a float gets an array element's bits, on both branches of the CDF
         # and on both sides of the finite sum's switch
