@@ -45,22 +45,19 @@ _U_SHIFT = 2.0 ** -54
 _U_MAX = 1.0 - 2.0 ** -53
 
 
-def _asarray(x) -> tuple[np.ndarray, bool]:
-    """`x` as a float64 ndarray, and whether it was a scalar."""
-    scalar = np.isscalar(x) or (hasattr(x, "ndim") and x.ndim == 0)
-    return np.asarray(x, dtype=np.float64), scalar
-
-
-def _asarray_checked(x, name: str) -> tuple[np.ndarray, bool]:
-    """Coerce to float64 ndarray, rejecting non-finite entries."""
-    arr, scalar = _asarray(x)
+def _asarray_checked(x, name: str) -> np.ndarray:
+    """`x` as a float64 ndarray, 0-d for a float or a 0-d input; a
+    non-finite entry raises ``DomainError``."""
+    arr = np.asarray(x, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite")
-    return arr, scalar
+    return arr
 
 
-def _ret(arr: np.ndarray, scalar: bool):
-    return float(arr) if scalar else arr
+def _ret(arr: np.ndarray):
+    """`arr` as a float if it is 0-d (as a float or 0-d input makes it),
+    else `arr` itself."""
+    return float(arr) if np.ndim(arr) == 0 else arr
 
 
 # Elements per pass of a kernel over a large array, so that a pass's scratch
@@ -180,8 +177,7 @@ def normal_cdf(x):
 
     Accepts a float or an ndarray; non-finite input raises ``DomainError``.
     """
-    arr, scalar = _asarray_checked(x, "x")
-    return _ret(0.5 * _erfc(-arr / _SQRT2), scalar)
+    return _ret(0.5 * _erfc(-_asarray_checked(x, "x") / _SQRT2))
 
 
 # Wichura's AS 241, PPND16 (Appl. Statist. 37:477-484, 1988): three rational
@@ -273,7 +269,7 @@ def normal_quantile(p, *, out=None):
     it stays a few tiles in size.  A float takes the same path; for one
     float, ``statistics.NormalDist().inv_cdf`` is the same AS 241 in C.
     """
-    arr, scalar = _asarray(p)
+    arr = np.asarray(p, dtype=np.float64)
     # min and max are NaN when any entry is, so NaN fails this test too
     if arr.size and not (0.0 < arr.min() and arr.max() < 1.0):
         _asarray_checked(arr, "p")
@@ -281,7 +277,7 @@ def normal_quantile(p, *, out=None):
     out = np.empty_like(arr) if out is None else out
     for rows in _row_tiles(arr.shape):
         _as241(arr[rows], out[rows])
-    return _ret(out, scalar)
+    return _ret(out)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +426,7 @@ def regularized_incomplete_beta(a, b, x):
     terms = int(a) if b == 0.5 and a <= _SUM_A_MAX and a.is_integer() else 0
     if np.ndim(x) == 0:
         return _betainc_scalar(a, b, probability(x, "x"), terms)
-    arr, _ = _asarray_checked(x, "x")
+    arr = _asarray_checked(x, "x")
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise DomainError("x must lie in [0, 1]")
     if not terms:
@@ -541,14 +537,14 @@ def noncentral_t_cdf(t, df, ncp):
     """
     df = positive(df, "df")
     ncp = finite(ncp, "ncp")
-    arr, scalar = _asarray_checked(t, "t")
+    arr = _asarray_checked(t, "t")
     if ncp == 0.0:
         return student_t_cdf(t, df)
     flat = arr.reshape(-1)
     out = np.empty_like(flat)
     for tile in _row_tiles(flat.shape, _NCT_TILE):
         out[tile] = _nct_cdf_quadrature(flat[tile], df, ncp)
-    return _ret(out.reshape(arr.shape), scalar)
+    return _ret(out.reshape(arr.shape))
 
 
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:

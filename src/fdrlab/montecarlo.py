@@ -10,9 +10,10 @@ with one `block_uniforms` call, which gives the bits each stream's
 `uniforms` would: the chunk's experiments are consecutive streams, so each
 block column of its uniforms is one counter range of numpy's Philox.
 A chunk past n = 64 takes its rows in slices of at most 2**19 uniforms,
-with the same bits, and the uniform and quantile kernels work in tiles of
-about 2**16 elements, so a chunk holds about 6 MiB at most up to n = 2**15,
-where one row fills a tile (12 MiB at n = 2**17).
+cut by the kernels' own `_row_tiles`, with the same bits, and the uniform
+and quantile kernels work in tiles of about 2**16 elements, so a chunk
+holds about 6 MiB at most up to n = 2**15, where one row fills a tile
+(12 MiB at n = 2**17).
 Chunk ranges are generated lazily and at most 2 * threads chunks are in
 flight, so memory does not grow with the batch size either.
 
@@ -41,7 +42,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import power as power_mod
-from .distributions import RngStream, block_uniforms, normal_quantile
+from .distributions import RngStream, _row_tiles, block_uniforms, normal_quantile
 # grid_index and MAX_THREADS are not used here, only served under this name
 from .errors import (DEFAULT_MASTER_SEED, MAX_THREADS, _N_BINS, ConfigurationError,
                      UndefinedResultError, curve_sizes, grid_index, grid_interval,
@@ -165,16 +166,14 @@ def _simulate_chunk(config: SimConfig, start: int, stop: int) -> tuple[tuple, np
     n = config.n_per_group
     m = stop - start
     p, diff = np.empty(m), np.empty(m)
-    step = max(1, _UNIFORM_BUDGET // (2 * n))
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
+    for rows in _row_tiles((m, 2 * n), _UNIFORM_BUDGET):
         z = block_uniforms([RngStream(config.master_seed, index)
-                            for index in range(start + lo, start + hi)], 2 * n)
+                            for index in range(start, stop)[rows]], 2 * n)
         normal_quantile(z, out=z)
         z *= config.sd
         z[:, :n] += config.true_mean_control
         z[:, n:] += config.true_mean_treatment
-        _, _, p[lo:hi], diff[lo:hi], _ = batch_two_sample_t(z[:, :n], z[:, n:])
+        _, _, p[rows], diff[rows], _ = batch_two_sample_t(z[:, :n], z[:, n:])
         del z  # so that two slices' uniforms are never held at once
 
     sig = p <= config.alpha
@@ -308,8 +307,9 @@ def inflation_curve(n_values: Sequence[int], base_config: SimConfig,
     for n in curve_sizes(n_values):
         cfg = replace(base_config, n_per_group=n,
                       master_seed=(base_config.master_seed + n) % 2 ** 64)
-        summary = run_batch(cfg, threads=threads)
+        # before the batch, so that an alpha it rejects costs no simulation
         analytic = power_mod.power_two_sample(n, d, base_config.alpha)
+        summary = run_batch(cfg, threads=threads)
         points.append(InflationPoint(n, analytic, summary.mean_diff_significant))
     return points
 

@@ -8,6 +8,7 @@ two-sided critical values.
 
 from __future__ import annotations
 
+import bisect
 import math
 import statistics
 import sys
@@ -123,14 +124,15 @@ def power_two_sample(n_per_group: int, effect_size_d: float, alpha: float = 0.05
     `effect_size_d` is the true mean difference in units of the common
     standard deviation; its sign does not matter.  Both tails come from one
     `noncentral_t_cdf` call at -t_crit and t_crit.  t_crit is the quantile
-    of alpha / 2 itself, so it does not carry the rounding of 1 - alpha / 2.
+    of alpha / 2 itself, so it does not carry the rounding of 1 - alpha / 2;
+    an alpha whose half rounds to 0 raises `DomainError`.
     """
     n = integer_at_least(n_per_group, 2, "n_per_group")
     alpha = open_probability(alpha, "alpha")
     d = finite(effect_size_d, "effect_size_d")
     df = 2 * n - 2
     ncp = d * math.sqrt(n / 2.0)
-    t_crit = -student_t_quantile(0.5 * alpha, df)
+    t_crit = -student_t_quantile(open_probability(0.5 * alpha, "alpha / 2"), df)
     below, at_crit = noncentral_t_cdf(np.array([-t_crit, t_crit]), df, ncp).tolist()
     return (1.0 - at_crit) + below
 
@@ -182,10 +184,6 @@ def solve_n(target_power: float, effect_size_d: float, alpha: float = 0.05) -> i
                 break
             lo = hi
             step *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # Power rises with n, so the answer is the first n in (lo, hi] that
+    # reaches the target; hi does, so it is not probed again.
+    return lo + 1 + bisect.bisect_left(range(lo + 1, hi), True, key=reaches)

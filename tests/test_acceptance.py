@@ -160,7 +160,27 @@ def test_criterion_09_interval_fdr(null16, eff16):
         (f"prevalence 0.5 FDR={half:.5f}", abs(half - 0.26) <= 0.02),
         (f"prevalence 0.1 FDR={tenth:.5f}", abs(tenth - 0.76) <= 0.02),
     ]
-    _report(9, "FDR among p values just under 0.05 (interval 0.045-0.05)", checks)
+    # The exact interval FDR, the "p-equals" view of Colquhoun (R. Soc. Open
+    # Sci. 4:171085, 2017): a null p value falls in (0.045, 0.05] with
+    # probability 0.005, an effect one with the power difference below.  The
+    # simulated value must lie within 4 delta-method SEs of it, the SE taken
+    # from the two batches' binomial counts at those probabilities.
+    x = 0.005
+    y = power_two_sample(16, 1.0, 0.05) - power_two_sample(16, 1.0, 0.045)
+    readings = []
+    for prevalence, simulated in ((0.5, half), (0.1, tenth)):
+        a, b = 1.0 - prevalence, prevalence
+        exact = a * x / (a * x + b * y)
+        slope = a * b / (a * x + b * y) ** 2
+        se = slope * math.sqrt((y * y * x * (1.0 - x) / null16.n_sims)
+                               + (x * x * y * (1.0 - y) / eff16.n_sims))
+        z = (simulated - exact) / se
+        checks.append((f"prevalence {prevalence} exact FDR={exact:.5f}, SE={se:.5f}, "
+                       f"z={z:+.2f}", abs(z) <= 4.0))
+        readings.append(f"{simulated:.5f} (exact {exact:.5f}, z = {z:+.2f})")
+    _report(9, "FDR among p values just under 0.05 (interval 0.045-0.05): "
+               f"{readings[0]} at prevalence 0.5, {readings[1]} at 0.1; "
+               "bands 0.26 and 0.76 +- 0.02, |z| <= 4", checks)
 
 
 def test_criterion_10_inflation(effect_batches):

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import fdrlab
-from fdrlab import cli
+from fdrlab import cli, montecarlo
 from fdrlab.cli import build_parser, main
 from fdrlab.errors import FdrLabError
 from fdrlab.montecarlo import STREAM_VERSION
@@ -147,6 +147,11 @@ class TestPower:
         # a checked flag that the command would not use is an error, not ignored
         code, out, err = run_cli(capsys, "power", *argv, "--d", "1")
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_alpha_whose_half_is_zero_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "power", "--n", "2", "--d", "1", "--alpha", "5e-324")
+        assert (code, out) == (3, "")
+        assert err == "error: alpha / 2 must lie strictly inside (0, 1); got 0.0\n"
 
     def test_solve_with_zero_effect_exits_3(self, capsys):
         # d = 0 is a finite --d, but no n reaches any power
@@ -370,6 +375,17 @@ class TestInflation:
         code, out, _ = run_cli(capsys, "inflation", "--n-sims", "64", "--format", "csv")
         assert code == 0
         assert len(list(csv.DictReader(io.StringIO(out)))) == 11
+
+    def test_alpha_whose_half_is_zero_exits_3_before_any_batch(self, capsys, monkeypatch):
+        argv = ["inflation", "--n-list", "3", "--n-sims", "10", "--alpha", "5e-324"]
+        expected = (3, "", "error: alpha / 2 must lie strictly inside (0, 1); got 0.0\n")
+        assert run_cli(capsys, *argv) == expected
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch was simulated")
+
+        monkeypatch.setattr(montecarlo, "run_batch", no_batch)
+        assert run_cli(capsys, *argv) == expected
 
     def test_bad_n_exits_2(self, capsys):
         for n_list in ("2,8", "", "3,x", "3.5", "inf"):

@@ -15,6 +15,8 @@ import scipy.special
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from fdrlab import distributions
+from fdrlab.cli import main
 from fdrlab.distributions import (
     _SUM_A_MAX,
     _SUM_MIN,
@@ -29,7 +31,7 @@ from fdrlab.distributions import (
     sample_normal,
     student_t_cdf,
 )
-from fdrlab.errors import DomainError
+from fdrlab.errors import DomainError, FdrLabError
 from fdrlab.montecarlo import STREAM_VERSION
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -325,6 +327,19 @@ class TestIncompleteBeta:
                 for value in (regularized_incomplete_beta(a, 0.5, x),
                               regularized_incomplete_beta(a, 0.5, np.array([x]))[0]):
                     assert abs(float((value - exact) / exact)) < 1e-13
+
+    def test_unconverged_fraction_raises(self, monkeypatch, capsys):
+        # a = 100 has no finite sum, and one step of the fraction is too few
+        monkeypatch.setattr(distributions, "_CF_MAX_ITER", 1)
+        for x in (0.5, np.array([0.5])):
+            with pytest.raises(FdrLabError, match=r"did not converge \(a=100.0, b=0.5\)"):
+                regularized_incomplete_beta(100.0, 0.5, x)
+        # the t quantile at df = 200 reaches it: one error line, exit 3
+        assert main(["power", "--n", "101", "--d", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: incomplete beta continued fraction did not")
+        assert captured.err.count("\n") == 1
 
     def test_domain(self):
         for bad in (math.nan, math.inf, -0.1, 1.5):

@@ -151,11 +151,13 @@ class TestSolveN:
             power_two_sample(1, 1.0, 0.05)
         with pytest.raises(DomainError):
             power_two_sample(16, 1.0, 1.0)
-        # alpha / 2 rounds to 0, which has no normal or t quantile
-        with pytest.raises(DomainError):
+        # alpha / 2 rounds to 0, which has no normal or t quantile; the error
+        # names that rule, not the t quantile's argument
+        with pytest.raises(DomainError, match=r"^alpha / 2 must"):
             solve_n(0.8, 1.0, 5e-324)
-        with pytest.raises(DomainError):
-            power_two_sample(16, 1.0, 5e-324)
+        for n in (2, 16):
+            with pytest.raises(DomainError, match=r"^alpha / 2 must"):
+                power_two_sample(n, 1.0, 5e-324)
         # the required n passes 2**32
         for d in (1e-5, 1e-300, 5e-324):
             with pytest.raises(DomainError):

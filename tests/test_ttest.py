@@ -136,6 +136,8 @@ def test_degenerate_and_domain_errors():
                            (rows[None], rows[None])):
         with pytest.raises(DomainError):
             batch_two_sample_t(group1, group2)
+    with pytest.raises(DomainError, match="each group needs at least two observations"):
+        batch_two_sample_t(np.ones((3, 1)), np.ones((3, 4)))
 
 
 def test_p_value_floored_past_t_squared_overflow():
