@@ -7,13 +7,13 @@ Wichura's AS 241 normal quantile (one path, for a float as for an array;
 the same algorithm in C), the regularized incomplete beta, the central
 Student t CDF through it (one value at a time), and the noncentral t CDF
 as a Gauss-Legendre quadrature of E[Phi(t*W - ncp)] over log W,
-W = sqrt(chi2_df / df), in tiles of 8 values of t.  The incomplete beta
-runs a Lentz continued fraction in numpy for an array and in `math` floats
-for one value, but forms its front factor with numpy's ufuncs for both, so
-a float has an array element's bits everywhere.  Its log beta is a
-Stirling difference at large parameters; at b = 1/2 and an integer a <= 64
-(the t test's even df) a finite sum by Horner gives every value of at
-least 1e-3.
+W = sqrt(chi2_df / df), one per distinct |t|, which gives the CDF at -|t|
+and |t| together.  The incomplete beta runs a Lentz continued fraction in
+numpy for an array and in `math` floats for one value, but forms its front
+factor with numpy's ufuncs for both, so a float has an array element's
+bits everywhere.  Its log beta is a Stirling difference at large
+parameters; at b = 1/2 and an integer a <= 64 (the t test's even df) a
+finite sum by Horner gives every value of at least 1e-3.
 
 All distribution functions accept a float or a numpy array and return the
 matching kind.  Random draws come from `RngStream`, a counter-based
@@ -534,17 +534,24 @@ def noncentral_t_cdf(t, df, ncp):
     the rounding residue of 1 - P(T > t).  Absolute error is below 1e-8:
     that is checked against an mpmath oracle for df from 1 to 313956, |ncp|
     up to 200 and t on both sides of the step, t = 0 included.
+
+    A value's result depends on its own (t, df, ncp) alone, so an array
+    element gets the float's bits.  A call integrates once per distinct
+    |t|, on one panel set that gives -|t| and |t| together: the pair
+    (-t_crit, t_crit) that `power_two_sample` passes costs one quadrature.
+    One float integrates that pair too, which takes about 45% longer than a
+    quadrature of the value alone (180 against 125 us at df = 30; 2-vCPU
+    Xeon, Python 3.11); no caller in the package passes one float.
     """
     df = positive(df, "df")
     ncp = finite(ncp, "ncp")
     arr = _asarray_checked(t, "t")
     if ncp == 0.0:
         return student_t_cdf(t, df)
-    flat = arr.reshape(-1)
-    out = np.empty_like(flat)
-    for tile in _row_tiles(flat.shape, _NCT_TILE):
-        out[tile] = _nct_cdf_quadrature(flat[tile], df, ncp)
-    return _ret(out.reshape(arr.shape))
+    # one quadrature per distinct |t| gives the pair (-|t|, |t|)
+    flat = arr.ravel().tolist()
+    pairs = {a: _nct_cdf_quadrature(a, df, ncp).tolist() for a in set(map(abs, flat))}
+    return _ret(np.array([pairs[abs(v)][v > 0.0] for v in flat]).reshape(arr.shape))
 
 
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -580,9 +587,6 @@ _NCT_PANELS = 24
 _NCT_STEP_EDGES = np.array([-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0])
 # Nodes and weights of each panel's 48-point rule, built once at import.
 _NCT_NODES, _NCT_WEIGHTS = _gauss_legendre(48)
-# Values of t per quadrature.  Every t's step edges join one shared panel
-# set, so a tile's scratch grows with its size squared.
-_NCT_TILE = 8
 
 
 def _log_w_window(df: float) -> tuple[float, float]:
@@ -600,14 +604,16 @@ def _log_w_window(df: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _nct_cdf_quadrature(t: np.ndarray, df: float, delta: float) -> np.ndarray:
-    # P(T' <= t) = E[Phi(t*W - delta)] with W = sqrt(chi2_df / df), as a
-    # composite Gauss-Legendre integral over y = log W.  In y the density
+def _nct_cdf_quadrature(a: float, df: float, delta: float) -> np.ndarray:
+    # P(T' <= t) at t = -a and t = a, in that order, from one panel set:
+    # E[Phi(t*W - delta)] with W = sqrt(chi2_df / df), as a composite
+    # Gauss-Legendre integral over y = log W.  In y the density
     # has the same shape for every df, with no singularity at W = 0 when
     # df < 1.  Phi(t*W - delta) steps from 0 to 1 over a width of about 1/t
     # around W = delta/t; extra panel edges there resolve the step.  The
     # weights are normalised by their own sum, so neither the density's
     # constant nor the mass outside the window enters the result.
+    t = np.array([-a, a])
     lo, hi = _log_w_window(df)
     edges = np.linspace(lo, hi, _NCT_PANELS + 1)
     # a subnormal t overflows its edges to +-inf, which fall outside the window

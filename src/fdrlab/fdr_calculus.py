@@ -45,7 +45,7 @@ class DiagnosticSpec:
 
     def __post_init__(self):
         for name in ("prevalence", "sensitivity", "specificity"):
-            probability(getattr(self, name), name)
+            object.__setattr__(self, name, probability(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class TestScenario:
 
     def __post_init__(self):
         for name in ("prevalence", "power", "alpha"):
-            probability(getattr(self, name), name)
+            object.__setattr__(self, name, probability(getattr(self, name), name))
         if self.power < self.alpha:
             warnings.warn(
                 f"power ({self.power}) below alpha ({self.alpha}): "

@@ -37,6 +37,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -86,19 +87,16 @@ class SimConfig:
     master_seed: int = DEFAULT_MASTER_SEED
 
     def __post_init__(self):
-        error = ConfigurationError
-        # The integer fields keep the rules' Python ints, so a numpy integer
-        # given here still serialises to JSON; the floats stay as given.
-        object.__setattr__(self, "n_per_group",
-                           integer_at_least(self.n_per_group, 2, "n_per_group", error))
-        object.__setattr__(self, "n_sims",
-                           integer_at_least(self.n_sims, 1, "n_sims", error))
-        simulated_scale(self.true_mean_control, "true_mean_control", error)
-        simulated_scale(self.true_mean_treatment, "true_mean_treatment", error)
-        simulated_sd(self.sd, "sd", error)
-        open_probability(self.alpha, "alpha", error)
-        object.__setattr__(self, "master_seed",
-                           uint64_value(self.master_seed, "master_seed", error))
+        # Each field keeps its rule's Python int or float, so a numpy scalar,
+        # Decimal or Fraction given here still serialises to JSON.
+        for name, rule in (("n_per_group", partial(integer_at_least, minimum=2)),
+                           ("n_sims", partial(integer_at_least, minimum=1)),
+                           ("true_mean_control", simulated_scale),
+                           ("true_mean_treatment", simulated_scale),
+                           ("sd", simulated_sd), ("alpha", open_probability),
+                           ("master_seed", uint64_value)):
+            object.__setattr__(self, name, rule(getattr(self, name), name=name,
+                                                error=ConfigurationError))
 
     @property
     def true_diff(self) -> float:
@@ -247,7 +245,7 @@ class MixtureSpec:
     effect_summary: SimSummary
 
     def __post_init__(self):
-        probability(self.prevalence, "prevalence")
+        object.__setattr__(self, "prevalence", probability(self.prevalence, "prevalence"))
         a = self.null_summary.config
         b = self.effect_summary.config
         mismatched = [name for name in ("n_per_group", "sd", "alpha", "n_sims")

@@ -3,8 +3,12 @@ calibration, cross-checked by brute-force tree enumeration, algebraic
 identities, and extended-precision recomputation (mpmath).
 """
 
+import dataclasses
+import json
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -194,6 +198,23 @@ class TestPosteriorOdds:
             scenario = Scenario(0.1, 0.0, 0.05)
         with pytest.raises(DomainError):
             posterior_odds(scenario)
+
+
+@pytest.mark.parametrize("kind", [np.float32, Decimal, Fraction])
+def test_spec_fields_keep_the_rules_floats(kind):
+    # each field stores the float its rule returns, so the trees and the
+    # odds come out as Python floats and serialise to JSON
+    diagnostic_inputs = [kind("0.01"), kind("0.8"), kind("0.95")]
+    scenario_inputs = [kind("0.1"), kind("0.8"), kind("0.05")]
+    diagnostic = DiagnosticSpec(*diagnostic_inputs)
+    scenario = Scenario(*scenario_inputs)
+    for spec, inputs in ((diagnostic, diagnostic_inputs), (scenario, scenario_inputs)):
+        stored = [getattr(spec, field.name) for field in dataclasses.fields(spec)]
+        assert [type(value) for value in stored] == [float] * 3
+        assert stored == [float(x) for x in inputs]
+    for result in (screening_breakdown(diagnostic, population=10_000),
+                   significance_breakdown(scenario), posterior_odds(scenario)):
+        json.dumps(result.to_dict(), allow_nan=False)
 
 
 def _mpmath_min_fdr(p: float) -> float:

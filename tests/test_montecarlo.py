@@ -5,8 +5,11 @@ inflation statistic against a truncated-normal quadrature oracle.
 
 import dataclasses
 import hashlib
+import json
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -361,6 +364,14 @@ class TestMixture:
         with pytest.raises(DomainError):
             MixtureSpec(1.2, pair.null_summary, pair.effect_summary)
 
+    @pytest.mark.parametrize("kind", [np.float32, Decimal, Fraction])
+    def test_prevalence_keeps_the_rules_float(self, pair, kind):
+        spec = MixtureSpec(kind("0.1"), pair.null_summary, pair.effect_summary)
+        assert type(spec.prevalence) is float and spec.prevalence == float(kind("0.1"))
+        cells = mixture_fdr(spec).to_dict()
+        assert all(type(value) is float for value in cells.values())
+        json.dumps({**cells, "interval_fdr": interval_fdr(spec, 0.045, 0.05)}, allow_nan=False)
+
 
 def _conditional_mean_oracle(n, mu=1.0, sigma=1.0, alpha=0.05):
     """E[diff | significant] by quadrature: the observed difference is
@@ -487,6 +498,20 @@ def test_to_json_is_strict():
     for field in ("mean_diff_all", "sd_diff_all"):
         with pytest.raises(ValueError):
             dataclasses.replace(summary, **{field: math.inf}).to_json()
+
+
+@pytest.mark.parametrize("kind", [np.float32, Decimal, Fraction])
+def test_float_fields_keep_the_rules_floats(kind):
+    # each float field stores its rule's float, so the batch runs and
+    # serialises as it does for that float
+    given = {"true_mean_control": kind("0.25"), "true_mean_treatment": kind("1.5"),
+             "sd": kind("2"), "alpha": kind("0.05")}
+    floats = {field: float(value) for field, value in given.items()}
+    config = SimConfig(n_per_group=4, n_sims=50, **given)
+    for field, value in floats.items():
+        assert type(getattr(config, field)) is float and getattr(config, field) == value
+    assert run_batch(config).to_json() == run_batch(
+        SimConfig(n_per_group=4, n_sims=50, **floats)).to_json()
 
 
 def test_numpy_integers_in_config_serialise_as_ints():

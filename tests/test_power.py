@@ -12,7 +12,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from fdrlab import power
-from fdrlab.distributions import student_t_cdf
+from fdrlab.distributions import noncentral_t_cdf, student_t_cdf
 from fdrlab.errors import DomainError
 from fdrlab.power import power_two_sample, solve_n, student_t_quantile
 
@@ -42,6 +42,19 @@ def test_result_strictly_inside_unit_interval():
     # it stands, not as the rounding residue of 1 - P(T > -t_crit)
     upper = scipy.stats.nct.sf(scipy.stats.t.ppf(0.975, 398), 398, 10.0)
     assert power_two_sample(200, 1.0) == pytest.approx(upper, abs=1e-15)
+
+
+def test_power_is_its_two_float_tails():
+    # power's one call at (-t_crit, t_crit) has the bits of two float calls
+    for n in range(2, 101):
+        df = 2 * n - 2
+        for d in (0.2, 1.0, -1.0, 3.0):
+            ncp = d * math.sqrt(n / 2.0)
+            for alpha in (0.05, 0.001):
+                t_crit = -student_t_quantile(alpha / 2.0, df)
+                assert power_two_sample(n, d, alpha) == (
+                    (1.0 - noncentral_t_cdf(t_crit, df, ncp))
+                    + noncentral_t_cdf(-t_crit, df, ncp))
 
 
 def test_monotone_in_n_d_alpha():
