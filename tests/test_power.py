@@ -3,6 +3,7 @@ bracketing properties, hypothesis properties of power, `solve_n` and the t
 quantile, and full-size Monte Carlo batches.
 """
 
+import hashlib
 import math
 
 import mpmath
@@ -55,6 +56,23 @@ def test_power_is_its_two_float_tails():
                 assert power_two_sample(n, d, alpha) == (
                     (1.0 - noncentral_t_cdf(t_crit, df, ncp))
                     + noncentral_t_cdf(-t_crit, df, ncp))
+
+
+# SHA-256 of the repr of every power value and solve_n result below, one a
+# line: 2,555 power values and 15 sample sizes.  A change that moves any
+# power bit must re-pin this in a commit of its own.
+_POWER_DIGEST = "a6b85460e17022ab70ee348ba7b7c8494c9e3c211de55f614e21d9a286042205"
+
+
+def test_power_bits_are_pinned():
+    ns = [*range(2, 70), 100, 394, 1000, 156979, 10 ** 6]
+    lines = [repr(power_two_sample(n, d, alpha)) for n in ns
+             for d in (0.0, 0.01, 0.2, 1.0, -1.0, 5.0, 40.0)
+             for alpha in (0.05, 1e-3, 1e-10, 1e-17, 1e-310)]
+    lines += [repr(solve_n(target, d)) for target in (0.5, 0.8, 0.95)
+              for d in (1.0, 0.2, 0.01, 3.0, -0.5)]
+    assert len(lines) == 2570
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _POWER_DIGEST
 
 
 def test_monotone_in_n_d_alpha():
