@@ -6,14 +6,16 @@ Wichura's AS 241 normal quantile (one path, for a float as for an array;
 `power` takes its float starting quantiles from `statistics.NormalDist`,
 the same algorithm in C), the regularized incomplete beta, the central
 Student t CDF through it (one value at a time), and the noncentral t CDF
-as a Gauss-Legendre quadrature of E[Phi(t*W - ncp)] over log W,
-W = sqrt(chi2_df / df), one per distinct |t|, which gives the CDF at -|t|
-and |t| together.  The incomplete beta runs a Lentz continued fraction in
-numpy for an array and in `math` floats for one value, but forms its front
-factor with numpy's ufuncs for both, so a float has an array element's
-bits everywhere.  Its log beta is a Stirling difference at large
-parameters; at b = 1/2 and an integer a <= 64 (the t test's even df) a
-finite sum by Horner gives every value of at least 1e-3.
+as Phi(t*W - ncp) integrated on one Gauss-Legendre rule over log W,
+W = sqrt(chi2_df / df): `_log_w_rule` is the one place the law of W is
+written, and it serves any other E[g(W)] as well.  The CDF takes one rule
+per distinct |t|, which gives the CDF at -|t| and |t| together.  The
+incomplete beta runs a Lentz continued fraction in numpy for an array and
+in `math` floats for one value, but forms its front factor with numpy's
+ufuncs for both, so a float has an array element's bits everywhere.  Its
+log beta is a Stirling difference at large parameters; at b = 1/2 and an
+integer a <= 64 (the t test's even df) a finite sum by Horner gives every
+value of at least 1e-3.
 
 All distribution functions accept a float or a numpy array and return the
 matching kind.  Random draws come from `RngStream`, a counter-based
@@ -528,12 +530,14 @@ def student_t_cdf(t, df):
 def noncentral_t_cdf(t, df, ncp):
     """CDF of the noncentral t distribution; `t` may be a float or an array.
 
-    P(T <= t) = E[Phi(t*W - ncp)] with W = sqrt(chi2_df / df), integrated
-    over log W (see `_nct_cdf_quadrature`).  The integrand is used as it
-    stands for either sign of t, so a tiny lower-tail probability is not
-    the rounding residue of 1 - P(T > t).  Absolute error is below 1e-8:
-    that is checked against an mpmath oracle for df from 1 to 313956, |ncp|
-    up to 200 and t on both sides of the step, t = 0 included.
+    P(T <= t) = E[Phi(t*W - ncp)] with W = sqrt(chi2_df / df): Phi
+    integrated on the one log-W rule, `_log_w_rule`, with extra panel edges
+    around the step of Phi (see `_nct_cdf_quadrature`).  The integrand is
+    used as it stands for either sign of t, so a tiny lower-tail
+    probability is not the rounding residue of 1 - P(T > t).  Absolute
+    error is below 1e-8: that is checked against an mpmath oracle for df
+    from 1 to 313956, |ncp| up to 200 and t on both sides of the step,
+    t = 0 included.
 
     A value's result depends on its own (t, df, ncp) alone, so an array
     element gets the float's bits.  A call integrates once per distinct
@@ -589,47 +593,56 @@ _NCT_STEP_EDGES = np.array([-16.0, -4.0, -1.0, 0.0, 1.0, 4.0, 16.0])
 _NCT_NODES, _NCT_WEIGHTS = _gauss_legendre(48)
 
 
-def _log_w_window(df: float) -> tuple[float, float]:
-    """Bounds on y = log W outside which h(y) < -_NCT_DROP."""
-    drop = _NCT_DROP
+def _log_w_rule(df: float, step_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y = log W, W = sqrt(chi2_df / df), and their unnormalised
+    masses: E[g(W)] is ``g(np.exp(y)) @ mass / mass.sum()``.
+
+    A composite Gauss-Legendre rule over the window where h(y) >=
+    -_NCT_DROP: _NCT_PANELS equal panels of the 48-point rule, with extra
+    panel edges at those positive W of `step_w` whose log falls inside the
+    window, where g has a step to resolve.  In y the density has the same
+    shape for every df, with no singularity at W = 0 when df < 1.  The
+    masses carry neither the density's constant nor the mass outside the
+    window, so a caller normalises by their sum.
+
+    The window is centred on the density, not on g, so a g that grows
+    where the density has fallen below e^-40 of its peak loses that mass:
+    E[1/W] comes out 1.3e-6 relative short at df = 1.5, 1.4e-9 at df = 2
+    and 1.4e-12 at df = 3, and is within 6e-15 from df = 5 up.
+    """
     # h(y) <= -0.5677 df y^2 on [-1, 0], and h(y) <= df (y + 1/2) below it.
-    lo = -math.sqrt(drop / (0.56 * df))
+    lo = -math.sqrt(_NCT_DROP / (0.56 * df))
     if lo < -1.0:
-        lo = -drop / df - 0.5
-    # h(y) <= -df y^2 for y > 0; for df <= 2 drop also h(log1p(2 drop / df))
-    # <= -drop.
-    hi = math.sqrt(drop / df)
-    if df <= 2.0 * drop:
-        hi = min(hi, math.log1p(2.0 * drop / df))
-    return lo, hi
+        lo = -_NCT_DROP / df - 0.5
+    # h(y) <= -df y^2 for y > 0; for df <= 2 D, with D = _NCT_DROP, also
+    # h(log1p(2 D / df)) <= -D.
+    hi = math.sqrt(_NCT_DROP / df)
+    if df <= 2.0 * _NCT_DROP:
+        hi = min(hi, math.log1p(2.0 * _NCT_DROP / df))
+    steps = np.log(step_w[step_w > 0.0])
+    # A repeated edge makes a panel of width 0, which weighs nothing.
+    edges = np.sort(np.concatenate((np.linspace(lo, hi, _NCT_PANELS + 1),
+                                    steps[(steps > lo) & (steps < hi)])))
+    half = 0.5 * np.diff(edges)[:, None]
+    y = (half * _NCT_NODES + (edges[:-1, None] + half)).ravel()
+    return y, (half * _NCT_WEIGHTS).ravel() * np.exp(df * (y - 0.5 * np.expm1(2.0 * y)))
 
 
 def _nct_cdf_quadrature(a: float, df: float, delta: float) -> np.ndarray:
-    # P(T' <= t) at t = -a and t = a, in that order, from one panel set:
-    # E[Phi(t*W - delta)] with W = sqrt(chi2_df / df), as a composite
-    # Gauss-Legendre integral over y = log W.  In y the density
-    # has the same shape for every df, with no singularity at W = 0 when
-    # df < 1.  Phi(t*W - delta) steps from 0 to 1 over a width of about 1/t
-    # around W = delta/t; extra panel edges there resolve the step.  The
-    # weights are normalised by their own sum, so neither the density's
-    # constant nor the mass outside the window enters the result.
+    # P(T' <= t) at t = -a and t = a, in that order, from one rule:
+    # E[Phi(t*W - delta)] on `_log_w_rule`.  Phi(t*W - delta) steps from 0
+    # to 1 over a width of about 1/t around W = delta/t; the rule's extra
+    # edges there resolve the step.
     t = np.array([-a, a])
-    lo, hi = _log_w_window(df)
-    edges = np.linspace(lo, hi, _NCT_PANELS + 1)
-    # a subnormal t overflows its edges to +-inf, which fall outside the window
+    # a subnormal t overflows its step positions to +-inf, which fall outside
+    # the window; a t*W past the double range is +-inf, which `_erfc` maps
+    # to 0 or 2
     with np.errstate(over="ignore"):
-        steps = (delta + _NCT_STEP_EDGES) / t[t != 0.0, None]
-    steps = np.log(steps[steps > 0.0])
-    # A repeated edge makes a panel of width 0, which weighs nothing.
-    edges = np.sort(np.concatenate((edges, steps[(steps > lo) & (steps < hi)])))
-
-    half = 0.5 * np.diff(edges)[:, None]
-    y = (half * _NCT_NODES + (edges[:-1, None] + half)).ravel()
-    mass = (half * _NCT_WEIGHTS).ravel() * np.exp(df * (y - 0.5 * np.expm1(2.0 * y)))
-    # Phi as `normal_cdf` forms it; a t*W past the double range is +-inf,
-    # which `_erfc` maps to 0 or 2
-    with np.errstate(over="ignore"):
+        y, mass = _log_w_rule(df, (delta + _NCT_STEP_EDGES) / t[t != 0.0, None])
         phi = 0.5 * _erfc(-(t[:, None] * np.exp(y) - delta) / _SQRT2)
+    # Phi as `normal_cdf` forms it, summed on the raw masses and then
+    # normalised: normalising the masses first moves 1,292 of the 2,570
+    # values that `test_power_bits_are_pinned` hashes
     return np.clip(phi @ mass / mass.sum(), 0.0, 1.0)
 
 

@@ -67,7 +67,7 @@ class TestScenario:
             warnings.warn(
                 f"power ({self.power}) below alpha ({self.alpha}): "
                 "test performs worse than chance",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

@@ -18,11 +18,13 @@ from hypothesis import given, settings, strategies as st
 from fdrlab import distributions
 from fdrlab.cli import main
 from fdrlab.distributions import (
+    _NCT_STEP_EDGES,
     _SUM_A_MAX,
     _SUM_MIN,
     RngStream,
     _betacf,
     _lbeta,
+    _log_w_rule,
     block_uniforms,
     noncentral_t_cdf,
     normal_cdf,
@@ -537,6 +539,23 @@ class TestNoncentralT:
         ref = _mpmath_nct_cdf(-t_crit, 398.0, 10.0)
         assert 0.0 < ref < 1e-30
         assert noncentral_t_cdf(-t_crit, 398.0, 10.0) == pytest.approx(ref, rel=1e-7, abs=0.0)
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 2.0, 3.0, 5.0, 30.0, 398.0, 313956.0, 1e10])
+    def test_log_w_rule_moments_against_mpmath(self, df):
+        # E[W^k] = (2/df)^(k/2) Gamma((df + k)/2) / Gamma(df/2) on the rule's
+        # own nodes and masses, with no step edges and with the CDF's edges
+        # at (ncp, t) = (2, 3) and (40, 41); mpmath, because a difference of
+        # lgamma loses 1.5e-5 relative at df = 1e10
+        with mpmath.workdps(40):
+            half_df = mpmath.mpf(df) / 2
+            exact = [float(half_df ** (-k / 2) * mpmath.gamma(half_df + k / 2)
+                           / mpmath.gamma(half_df)) for k in (1, 2, 3)]
+        for step_w in (np.empty(0), *((ncp + _NCT_STEP_EDGES) / np.array([[-t], [t]])
+                                      for ncp, t in ((2.0, 3.0), (40.0, 41.0)))):
+            y, mass = _log_w_rule(df, step_w)
+            for k, moment in zip((1, 2, 3), exact):
+                assert np.exp(k * y) @ mass / mass.sum() == pytest.approx(
+                    moment, rel=1e-15, abs=0.0)
 
     def test_gauss_legendre_rule(self):
         from fdrlab.distributions import _gauss_legendre

@@ -140,8 +140,10 @@ class TestSignificance:
                     getattr(scr, field), abs=1e-12)
 
     def test_worse_than_chance_warns(self):
-        with pytest.warns(UserWarning, match="worse than chance"):
+        with pytest.warns(UserWarning, match="worse than chance") as record:
             Scenario(0.1, 0.03, 0.05)
+        # at the caller's line, not the __init__ that dataclasses generates
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestPosteriorOdds:
