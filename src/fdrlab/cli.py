@@ -186,42 +186,42 @@ def _cmd_power(args) -> dict:
             "power": pw.power_two_sample(args.n, args.d, args.alpha)}
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("FDRLAB_SEED")
-    if env is None:
-        return DEFAULT_MASTER_SEED
-    try:
-        return _seed(env)
-    except argparse.ArgumentTypeError as exc:
-        raise ConfigurationError(f"FDRLAB_SEED: {exc}")
+def _sim_config(args, n_per_group: int):
+    """The batch the simulation flags describe, at `n_per_group`.  The seed
+    is --seed, then FDRLAB_SEED, then the default, and is read before the
+    engine is imported, so a bad FDRLAB_SEED exits 2 without numpy."""
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("FDRLAB_SEED")
+        try:
+            seed = DEFAULT_MASTER_SEED if env is None else _seed(env)
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigurationError(f"FDRLAB_SEED: {exc}")
+    from . import montecarlo as mc
+
+    return mc.SimConfig(n_per_group=n_per_group, true_mean_treatment=args.delta,
+                        sd=args.sd, n_sims=args.n_sims, alpha=args.alpha,
+                        master_seed=seed)
 
 
 def _cmd_simulate(args) -> dict:
     """JSON nests each batch's full summary under its tag ("null",
     "effect"), or gives the single batch's summary itself; table and CSV
     flatten the scalars into one record, the tag as a key prefix."""
-    seed = _resolve_seed(args)
     if args.interval is not None and args.prevalence is None:
         raise ConfigurationError("--interval requires --prevalence")
     if args.hist_bin_width is not None and not args.emit_histogram:
         raise ConfigurationError("--hist-bin-width requires --emit-histogram")
+    config = _sim_config(args, args.n_per_group)
     from . import montecarlo as mc
 
     nested = args.format == "json"
 
     if args.prevalence is None:
-        config = mc.SimConfig(n_per_group=args.n_per_group, true_mean_treatment=args.delta,
-                              sd=args.sd, n_sims=args.n_sims, alpha=args.alpha,
-                              master_seed=seed)
         summaries = {"": mc.run_batch(config, threads=args.threads)}
         record = {} if nested else config.to_dict()
     else:
-        spec = mc.make_mixture(prevalence=args.prevalence,
-                               n_per_group=args.n_per_group, delta=args.delta,
-                               sd=args.sd, n_sims=args.n_sims, alpha=args.alpha,
-                               master_seed=seed, threads=args.threads)
+        spec = mc.make_mixture(args.prevalence, config, threads=args.threads)
         summaries = {"null": spec.null_summary, "effect": spec.effect_summary}
         mixture = mc.mixture_fdr(spec).to_dict()
         record = {"prevalence": args.prevalence,
@@ -249,15 +249,13 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_inflation(args) -> list[dict]:
-    from . import montecarlo as mc
-
     n_values = sorted(set(args.n_list))
     if len(n_values) != len(args.n_list):
         dupes = sorted({n for n in args.n_list if args.n_list.count(n) > 1})
         print(f"warning: duplicate n values deduplicated: {dupes}", file=sys.stderr)
-    seed = _resolve_seed(args)
-    base = mc.SimConfig(n_per_group=max(n_values), true_mean_treatment=args.delta,
-                        sd=args.sd, n_sims=args.n_sims, alpha=args.alpha, master_seed=seed)
+    base = _sim_config(args, max(n_values))
+    from . import montecarlo as mc
+
     return [point._asdict()
             for point in mc.inflation_curve(n_values, base, threads=args.threads)]
 

@@ -1,5 +1,9 @@
 """Batched simulation of two-sample t experiments.
 
+A batch is described by one `SimConfig`, and every helper here takes one:
+`run_batch` runs it, `inflation_curve` varies its n per point, and
+`make_mixture` derives a mixture's null and effect batches from it.
+
 Experiment i of a batch draws its observations from `RngStream(master_seed,
 i)`, so any slice of a batch can be recomputed independently and the result
 of `run_batch` is bitwise identical no matter how many worker threads run
@@ -312,24 +316,19 @@ def inflation_curve(n_values: Sequence[int], base_config: SimConfig,
     return points
 
 
-def make_mixture(prevalence: float, n_per_group: int, delta: float, sd: float,
-                 n_sims: int, alpha: float, master_seed: int,
+def make_mixture(prevalence: float, config: SimConfig,
                  threads: int | None = None) -> MixtureSpec:
     """Run the paired null and effect batches behind a mixture analysis.
 
-    The null batch uses `master_seed` and the effect batch `master_seed + 1`,
-    so the two never share substreams.
+    `config` describes the effect batch, as `inflation_curve`'s base does.
+    The null batch is `config` with the treatment mean set to the control
+    mean, under `config.master_seed`; the effect batch is `config` under
+    `master_seed + 1` (mod 2**64), so the two never share substreams.
     """
-    null_cfg = SimConfig(n_per_group=n_per_group, true_mean_control=0.0,
-                         true_mean_treatment=0.0, sd=sd, n_sims=n_sims,
-                         alpha=alpha, master_seed=master_seed)
-    effect_cfg = replace(null_cfg, true_mean_treatment=delta,
-                         master_seed=(master_seed + 1) % 2 ** 64)
-    return MixtureSpec(
-        prevalence=prevalence,
-        null_summary=run_batch(null_cfg, threads=threads),
-        effect_summary=run_batch(effect_cfg, threads=threads),
-    )
+    null_cfg = replace(config, true_mean_treatment=config.true_mean_control)
+    effect_cfg = replace(config, master_seed=(config.master_seed + 1) % 2 ** 64)
+    return MixtureSpec(prevalence, run_batch(null_cfg, threads=threads),
+                       run_batch(effect_cfg, threads=threads))
 
 
 def histogram_rows(summary: SimSummary, bin_width: float = 0.05) -> list[tuple[float, int]]:

@@ -62,7 +62,7 @@ def test_exact_calculus_and_flag_errors_leave_numpy_unimported():
     # package resolves its numpy-backed names on first use, and the CLI
     # imports power and montecarlo inside their handlers
     code = """if True:
-        import contextlib, io, sys
+        import contextlib, io, os, sys
 
         def numpy_loaded():
             return any(name == "numpy" or name.startswith("numpy.") for name in sys.modules)
@@ -85,6 +85,18 @@ def test_exact_calculus_and_flag_errors_leave_numpy_unimported():
                 main("simulate --n-per-group 16 --delta 1 --threads 0".split())
         except SystemExit as exc:
             print("flag error", exc.code, numpy_loaded())
+        # a flag without the one it depends on, and a bad FDRLAB_SEED, are
+        # found before the simulation engine is imported
+        for seed, argv in ((None, "simulate --n-per-group 16 --delta 1 --interval 0.045,0.05"),
+                           (None, "simulate --n-per-group 16 --delta 1 --hist-bin-width 0.1"),
+                           ("-1", "simulate --n-per-group 16 --delta 1"),
+                           ("-1", "inflation")):
+            os.environ.pop("FDRLAB_SEED", None)
+            if seed is not None:
+                os.environ["FDRLAB_SEED"] = seed
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv.split())
+            print(argv.split()[0], code, err.getvalue().strip(), numpy_loaded())
         run_batch = fdrlab.run_batch
         print("run_batch", run_batch.__module__, numpy_loaded())
     """
@@ -97,5 +109,9 @@ def test_exact_calculus_and_flag_errors_leave_numpy_unimported():
         "berger 0 False",
         "berger 0 False",
         "flag error 2 False",
+        "simulate 2 error: --interval requires --prevalence False",
+        "simulate 2 error: --hist-bin-width requires --emit-histogram False",
+        "simulate 2 error: FDRLAB_SEED: seed must fit in an unsigned 64-bit integer; got -1 False",
+        "inflation 2 error: FDRLAB_SEED: seed must fit in an unsigned 64-bit integer; got -1 False",
         "run_batch fdrlab.montecarlo True",
     ]

@@ -309,11 +309,27 @@ def test_mean_diff_significant_is_nan_when_none_significant():
 
 @pytest.fixture(scope="module")
 def pair():
-    return make_mixture(prevalence=0.1, n_per_group=8, delta=1.0, sd=1.0,
-                        n_sims=20_000, alpha=0.05, master_seed=2024)
+    return make_mixture(0.1, SimConfig(n_per_group=8, true_mean_treatment=1.0,
+                                       n_sims=20_000, master_seed=2024))
 
 
 class TestMixture:
+
+    @pytest.mark.parametrize("control, seed, effect_seed",
+                             [(0.3, 77, 78), (0.0, 2 ** 64 - 1, 0)])
+    def test_batches_are_the_two_derived_configs(self, control, seed, effect_seed):
+        # the null batch is the config with the treatment mean set to the
+        # control mean; the effect batch is the config under seed + 1, which
+        # wraps to 0 at the largest seed
+        cfg = SimConfig(n_per_group=5, true_mean_control=control,
+                        true_mean_treatment=control + 0.8, sd=1.5, n_sims=3000,
+                        alpha=0.01, master_seed=seed)
+        spec = make_mixture(0.2, cfg, threads=2)
+        null = dataclasses.replace(cfg, true_mean_treatment=control)
+        effect = dataclasses.replace(cfg, master_seed=effect_seed)
+        assert spec.prevalence == 0.2
+        assert spec.null_summary.to_json() == run_batch(null).to_json()
+        assert spec.effect_summary.to_json() == run_batch(effect).to_json()
 
     def test_fdr_formula(self, pair):
         breakdown = mixture_fdr(pair)
@@ -343,8 +359,8 @@ class TestMixture:
 
     def test_empty_interval_is_undefined(self):
         # 5 experiments cannot populate every 0.001 bin; pick an empty one
-        spec = make_mixture(prevalence=0.5, n_per_group=4, delta=1.0, sd=1.0,
-                            n_sims=5, alpha=0.05, master_seed=3)
+        spec = make_mixture(0.5, SimConfig(n_per_group=4, true_mean_treatment=1.0,
+                                           n_sims=5, master_seed=3))
         hist = (spec.null_summary.p_histogram + spec.effect_summary.p_histogram)
         empty = int(np.argmin(hist))
         assert hist[empty] == 0
