@@ -507,7 +507,11 @@ def student_t_cdf(t, df):
     so the error grows with df, up to max(6e-14, 2.5e-16 * df): 4.1e-12 at
     df = 1e5, 6.4e-9 at 1e8, 1.4e-6 at 1e10, 1.8e-4 at 1e12 and 2.5e-2 at
     1e14 (t from -1.8 to -30).  For t^2 < 3 it stays within 1.3e-14 up to
-    df = 1e17.
+    df = 1e17.  Past |t| = 1.34e154, where t^2 overflows, the tail is the
+    first term of its series in x = df / t^2 < 1e-308, taken in logs, so it
+    does not read 0 where it is still a double (below df = 2, and at df = 2
+    up to |t| of about 1e162): within 1.5e-13 over df = 0.5 to 2.5 and |t|
+    up to 1.7e308.
     """
     df = positive(df, "df")
     if np.ndim(t) != 0:
@@ -516,14 +520,19 @@ def student_t_cdf(t, df):
     # P(T <= -|t|) = I_x(df/2, 1/2) / 2 at x = df / (df + t^2).  For t^2 < 3
     # it is 1/2 - I_y(1/2, df/2) / 2 at y = t^2 / (df + t^2) instead: there
     # x is near 1, and the 1 - x the incomplete beta would form loses the
-    # digits of y.  Past |t| = 1.3e154, t * t overflows, rightly giving
-    # x = 0.
+    # digits of y.  Past |t| = 1.3e154, t * t overflows, and x < 1e-308
+    # would read 0; there the series' first term, x^a / (a B(a, 1/2)) with
+    # a = df/2, gives the tail in logs, to O(x) relative.
     t = finite(t, "t")
     tt = t * t
     if tt < 3.0:
         tail_half = 0.5 - 0.5 * regularized_incomplete_beta(0.5, 0.5 * df, tt / (df + tt))
-    else:
+    elif tt < math.inf:
         tail_half = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, df / (df + tt))
+    else:
+        a = 0.5 * df
+        tail_half = 0.5 * math.exp(a * (math.log(df) - 2.0 * math.log(abs(t)))
+                                   - math.log(a) - _lbeta(a, 0.5))
     return 1.0 - tail_half if t > 0.0 else tail_half
 
 

@@ -403,6 +403,13 @@ class TestStudentT:
             ts = np.array([-3e-6, 1e-9, 2.0])
             assert list(student_t_cdf(ts, df)) == [student_t_cdf(t, df) for t in ts]
 
+    @staticmethod
+    def _lower_tail(t, df):
+        """P(T <= t) for t < 0, as mpmath's incomplete beta at the exact t."""
+        with mpmath.workdps(50):
+            x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
+            return mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0, x, regularized=True) / 2
+
     def test_large_df_against_mpmath(self):
         # relative error of the lower tail against the incomplete beta at the
         # exact t; for t^2 >= 3 the rounded x = df / (df + t^2) makes it grow
@@ -410,11 +417,7 @@ class TestStudentT:
         # df = 30, 5.8e-14 at 1e3, 2.5e-2 at 1e14; 1.3e-14 at t = -1.5);
         # ROADMAP item 5, an exact 1 - x for the incomplete beta, will
         # tighten them
-        def lower_tail(t, df):
-            with mpmath.workdps(50):
-                x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
-                return mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0, x, regularized=True) / 2
-
+        lower_tail = self._lower_tail
         for df in (30.0, *(10.0 ** k for k in range(2, 15))):
             for t in (-1.8, -1.96, -3.0, -5.0, -10.0, -30.0):
                 exact = lower_tail(t, df)
@@ -422,6 +425,22 @@ class TestStudentT:
                 assert error <= max(6e-14, 2.5e-16 * df), (t, df, error)
             exact = lower_tail(-1.5, df)
             assert abs(float((student_t_cdf(-1.5, df) - exact) / exact)) <= 1.5e-14, df
+
+    @pytest.mark.parametrize("df, t", [
+        (0.5, -1.35e154), (0.5, -1e300), (0.5, -1.7976931348623157e308),
+        (1.0, -1.35e154), (1.0, -1e200), (1.0, -1e300), (1.0, -1.7976931348623157e308),
+        (1.5, -1.35e154), (1.5, -1e162), (1.5, -1e200),
+        (1.9, -1.35e154), (1.9, -1e160), (2.0, -1.35e154), (2.0, -1e155),
+        # past the overflow the true tail underflows at df = 2.5 and 30
+        (2.5, -1.35e154), (30.0, -1e200),
+    ])
+    def test_far_tail_past_overflow_against_mpmath(self, df, t):
+        # past |t| = 1.34e154, t * t overflows; below df = 2 the tail is still
+        # a normal double there, and at df = 2 up to |t| of about 1e162
+        assert math.isinf(t * t)
+        exact = float(self._lower_tail(t, df))
+        assert student_t_cdf(t, df) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert student_t_cdf(-t, df) == 1.0
 
     def test_scalar_path_matches_array_path(self):
         # a float gets an array element's bits, on both branches of the CDF
