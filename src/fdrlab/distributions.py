@@ -520,7 +520,7 @@ def student_t_cdf(t, df):
     # P(T <= -|t|) = I_x(df/2, 1/2) / 2 at x = df / (df + t^2).  For t^2 < 3
     # it is 1/2 - I_y(1/2, df/2) / 2 at y = t^2 / (df + t^2) instead: there
     # x is near 1, and the 1 - x the incomplete beta would form loses the
-    # digits of y.  Past |t| = 1.3e154, t * t overflows, and x < 1e-308
+    # digits of y.  Past |t| = 1.34e154, t * t overflows, and x < 1e-308
     # would read 0; there the series' first term, x^a / (a B(a, 1/2)) with
     # a = df/2, gives the tail in logs, to O(x) relative.
     t = finite(t, "t")

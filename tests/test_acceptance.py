@@ -10,7 +10,9 @@ Criterion 13 checks the law of the simulated p value itself: for an
 effect batch P(p <= x) is exactly `power_two_sample(n, d, alpha=x)`, and
 for a null batch p is uniform.  Its batches are conftest's, whose seeds were
 fixed before the criterion existed; a failure is a finding to report with
-its numbers, never a reason to choose another seed.
+its numbers, never a reason to choose another seed.  Criteria 8 and 9 keep
+their printed bands and also check the simulated FDR within 4 delta-method
+SEs of its exact value; criterion 6 prints the z of its two readings.
 
 Erratum: the classic printed calibration table gives 0.465 at p = 0.2.  That
 is a misprint for 0.467: the defining formula alpha(p) = 1/(1 + 1/(-e p ln p))
@@ -119,11 +121,18 @@ def test_criterion_06_monte_carlo_null(null16):
     fraction = null16.fraction_significant
     coarse = null16.p_histogram.reshape(20, 50).sum(axis=1)
     deviation = int(np.max(np.abs(coarse - 5000)))
+    # binomial z readings under the exact law, where p is uniform; the gates
+    # are the bands alone
+    n = null16.n_sims
+    z_fraction = (fraction - 0.05) / math.sqrt(0.05 * 0.95 / n)
+    z_bin = deviation / math.sqrt(n * 0.05 * 0.95)
     checks = [
         (f"fraction significant={fraction:.5f}", abs(fraction - 0.05) <= 0.003),
         (f"max 0.05-bin deviation={deviation}", deviation <= 207),
     ]
-    _report(6, "null batch: 5% significant, flat p histogram", checks)
+    _report(6, f"null batch: 5% significant ({fraction:.5f}, z = {z_fraction:+.2f}), "
+               f"flat p histogram (largest 0.05-bin deviation {deviation}, "
+               f"|z| = {z_bin:.2f}); bands +- 0.003 and 207", checks)
 
 
 def test_criterion_07_monte_carlo_effect(eff16):
@@ -138,16 +147,39 @@ def test_criterion_07_monte_carlo_effect(eff16):
     _report(7, "effect batch: 78% significant, differences ~ N(1, 0.354)", checks)
 
 
+def _exact_and_se(prevalence, x, y, null, effect):
+    """The mixture FDR at a null rate x and an effect rate y, and the
+    delta-method SE of its simulated value from the two batches' binomial
+    counts at those rates."""
+    a, b = 1.0 - prevalence, prevalence
+    exact = a * x / (a * x + b * y)
+    slope = a * b / (a * x + b * y) ** 2
+    se = slope * math.sqrt((y * y * x * (1.0 - x) / null.n_sims)
+                           + (x * x * y * (1.0 - y) / effect.n_sims))
+    return exact, se
+
+
 def test_criterion_08_mixture_fdr(null16, eff16):
     mixed = mixture_fdr(MixtureSpec(0.1, null16, eff16)).fdr
     zero = mixture_fdr(MixtureSpec(0.0, null16, eff16)).fdr
     one = mixture_fdr(MixtureSpec(1.0, null16, eff16)).fdr
+    # The band is the tree's value at power 0.8; the batch's power is the
+    # t test's, so the exact mixture FDR is the tree's at that power.  The
+    # simulated value must also lie within 4 delta-method SEs of it.
+    power = power_two_sample(16, 1.0, 0.05)
+    exact, se = _exact_and_se(0.1, 0.05, power, null16, eff16)
+    assert exact == pytest.approx(significance_breakdown(Scenario(0.1, power, 0.05)).fdr,
+                                  rel=1e-15, abs=0.0)
+    z = (mixed - exact) / se
     checks = [
         (f"prevalence 0.1 FDR={mixed:.5f}", abs(mixed - 0.36) <= 0.01),
+        (f"prevalence 0.1 exact FDR={exact:.5f}, SE={se:.5f}, z={z:+.2f}", abs(z) <= 4.0),
         (f"prevalence 0 FDR={zero!r}", zero == 1.0),
         (f"prevalence 1 FDR={one!r}", one == 0.0),
     ]
-    _report(8, "simulated mixture FDR at prevalence 0.1, 0, 1", checks)
+    _report(8, f"simulated mixture FDR at prevalence 0.1: {mixed:.5f} (exact "
+               f"{exact:.5f}, SE {se:.5f}, z = {z:+.2f}), band 0.36 +- 0.01, "
+               "|z| <= 4; 1 and 0 at prevalence 0 and 1", checks)
 
 
 def test_criterion_09_interval_fdr(null16, eff16):
@@ -169,11 +201,7 @@ def test_criterion_09_interval_fdr(null16, eff16):
     y = power_two_sample(16, 1.0, 0.05) - power_two_sample(16, 1.0, 0.045)
     readings = []
     for prevalence, simulated in ((0.5, half), (0.1, tenth)):
-        a, b = 1.0 - prevalence, prevalence
-        exact = a * x / (a * x + b * y)
-        slope = a * b / (a * x + b * y) ** 2
-        se = slope * math.sqrt((y * y * x * (1.0 - x) / null16.n_sims)
-                               + (x * x * y * (1.0 - y) / eff16.n_sims))
+        exact, se = _exact_and_se(prevalence, x, y, null16, eff16)
         z = (simulated - exact) / se
         checks.append((f"prevalence {prevalence} exact FDR={exact:.5f}, SE={se:.5f}, "
                        f"z={z:+.2f}", abs(z) <= 4.0))
