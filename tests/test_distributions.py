@@ -417,13 +417,12 @@ class TestStudentT:
         # df = 30, 5.8e-14 at 1e3, 2.5e-2 at 1e14; 1.3e-14 at t = -1.5);
         # ROADMAP item 5, an exact 1 - x for the incomplete beta, will
         # tighten them
-        lower_tail = self._lower_tail
         for df in (30.0, *(10.0 ** k for k in range(2, 15))):
             for t in (-1.8, -1.96, -3.0, -5.0, -10.0, -30.0):
-                exact = lower_tail(t, df)
+                exact = self._lower_tail(t, df)
                 error = abs(float((student_t_cdf(t, df) - exact) / exact))
                 assert error <= max(6e-14, 2.5e-16 * df), (t, df, error)
-            exact = lower_tail(-1.5, df)
+            exact = self._lower_tail(-1.5, df)
             assert abs(float((student_t_cdf(-1.5, df) - exact) / exact)) <= 1.5e-14, df
 
     @pytest.mark.parametrize("df, t", [

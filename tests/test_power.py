@@ -144,7 +144,7 @@ def test_t_quantile_domain_and_far_tail():
     # the quantile, about -1e600, lies past the float range
     with pytest.raises(DomainError):
         student_t_quantile(1e-300, 0.5)
-    # Cauchy: -cot(pi q); from q = 2.4e-155 on the quantile lies past
+    # Cauchy: -cot(pi q); below q = 2.4e-155 the quantile lies past
     # |t| = 1.34e154, where t * t overflows
     for q in (1e-150, 1e-160, 1e-300):
         assert student_t_quantile(q, 1.0) == pytest.approx(-1.0 / (math.pi * q), rel=1e-12)
