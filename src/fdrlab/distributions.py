@@ -26,7 +26,8 @@ threading.  Block b of consecutive streams is one counter range, and
 `block_uniforms` draws the first uniforms of many streams with one numpy
 call per block column, bit for bit, leaving the streams untouched.  It and
 `normal_quantile` take their scratch one row tile of about 2**16 elements
-at a time, so they hold a few MiB of it however many uniforms there are.
+at a time, so they hold a few MiB of it however many uniforms there are;
+the quantile gathers a tile's tails and writes them back by flat index.
 """
 
 from __future__ import annotations
@@ -219,16 +220,19 @@ _AS241_R_FAR = 5.0
 
 def _as241(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     """AS 241 into `out`, which may be `p` itself: the central formula over
-    every element, then the tails, gathered.  Every tail `p` is read before
-    `out` is written.  The steps run in place over two scratch arrays of
-    `p`'s shape, whose `out=` also keeps them arrays for a 0-d `p`."""
+    every element, then the tails, gathered by flat (C-order) index with
+    `take` and written back with `put`, which on a tile cost a fraction of
+    a 2-D boolean mask's gather and scatter and take a strided view as it
+    is.  Every tail `p` is read before `out` is written.
+    The steps run in place over two scratch arrays of `p`'s shape, whose
+    `out=` also keeps them arrays for a 0-d `p`."""
     q = np.subtract(p, 0.5, out=np.empty_like(p))
     scratch = np.abs(q, out=np.empty_like(p))
-    tail = scratch > _AS241_Q_CENTRAL
+    tail = np.flatnonzero(scratch > _AS241_Q_CENTRAL)
     # the tails need q and s = min(p, 1 - p), where 1 - p is 0.5 - q
     # exactly for p > 1/2; with no p in a tail, the gathers are empty
-    q_tail = q[tail]
-    s_tail = np.minimum(p[tail], 0.5 - q_tail)
+    q_tail = q.take(tail)
+    s_tail = np.minimum(p.take(tail), 0.5 - q_tail)
     r = np.multiply(q, q, out=scratch)
     np.subtract(_AS241_R_CENTRAL, r, out=r)
     num = _horner(_AS241_A, r)
@@ -236,7 +240,7 @@ def _as241(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.divide(num, _horner(_AS241_B, r, q), out=out)
     x_tail = _as241_tail(s_tail)
     np.negative(x_tail, out=x_tail, where=q_tail < 0.0)
-    out[tail] = x_tail
+    out.put(tail, x_tail)
     return out
 
 
@@ -268,7 +272,8 @@ def normal_quantile(p, *, out=None):
 
     `out` receives the result and may be `p` itself.  An array is taken in
     row tiles of about 2**16 elements, so the scratch numpy allocates for
-    it stays a few tiles in size.  A float takes the same path; for one
+    it stays a few tiles in size; each tile's tails (|p - 1/2| > 0.425) are
+    gathered and written back by flat index.  A float takes the same path; for one
     float, ``statistics.NormalDist().inv_cdf`` is the same AS 241 in C.
     """
     arr = np.asarray(p, dtype=np.float64)

@@ -176,6 +176,54 @@ class TestNormalQuantileAccuracy:
             assert np.array_equal(normal_quantile(self.INPUTS[part]).view(np.uint64),
                                   scalar[part].view(np.uint64))
 
+    # Arrays past one 2**16-element tile: `normal_quantile` takes them a row
+    # tile at a time, and `_as241` gathers and writes back each tile's tails
+    # by flat index.  Each result must hold the per-float bits on the
+    # elements `_FLOAT_ROWS` picks (the float path costs about 0.1 ms a
+    # value) and the bits of sub-tile contiguous pieces everywhere.
+    @staticmethod
+    def _assert_float_bits(result, p, rows):
+        scalar = np.array([[normal_quantile(float(v)) for v in row] for row in p[rows]])
+        assert np.array_equal(result[rows].view(np.uint64), scalar.view(np.uint64))
+        pieces = np.concatenate([normal_quantile(piece)
+                                 for piece in np.array_split(p.ravel(), 8)])
+        assert np.array_equal(result.ravel().view(np.uint64), pieces.view(np.uint64))
+
+    @staticmethod
+    def _float_rows(rows, step):
+        # the rows on both sides of each tile edge, the last row, and a stride
+        edges = {0, rows - 1, *range(step - 1, rows, step), *range(step, rows, step)}
+        return sorted(edges | set(range(0, rows, 97)))
+
+    def test_strided_view_across_tiles_in_place(self):
+        # the engine's n = 3 chunk: 6 of a row's 8 columns, in three and a
+        # bit row tiles, computed in place
+        step = distributions._TILE // 6
+        rows = 3 * step + 5
+        base = RngStream(20261021, 3).uniforms(rows * 8).reshape(rows, 8)
+        # tails and centre on both sides of the first tile edge
+        base[step - 1, :6] = [1e-300, 0.3, 1.0 - 2.0 ** -53, 0.5, 0.01, 0.97]
+        base[step, :6] = [0.02, 0.999, 0.6, 2.0 ** -54, 0.45, 1.0 - 1e-13]
+        p, pad = base[:, :6].copy(), base[:, 6:].copy()
+        view = base[:, :6]
+        assert not view.flags.contiguous
+        assert normal_quantile(view, out=view) is view
+        self._assert_float_bits(view, p, self._float_rows(rows, step))
+        assert np.array_equal(base[:, 6:], pad)  # the padding is left alone
+
+    @pytest.mark.parametrize("part", ["central", "tails"])
+    def test_one_branch_across_tiles(self, part):
+        # every tile's tail gather empty, or every element gathered
+        count = 2 ** 17 + 3
+        if part == "central":
+            p = np.linspace(0.075 + 2.0 ** -30, 0.925 - 2.0 ** -30, count)
+        else:
+            p = np.concatenate((np.geomspace(5e-324, 0.07, count // 2),
+                                1.0 - np.geomspace(0.07, 2.0 ** -53, count - count // 2)))
+            assert np.all(np.abs(p - 0.5) > 0.425)
+        p = p.reshape(-1, 1)
+        self._assert_float_bits(normal_quantile(p), p, self._float_rows(count, distributions._TILE))
+
     def test_antisymmetric_where_one_minus_p_is_exact(self):
         # both sides form the same r: 0.180625 - q^2 in the centre, and
         # sqrt(-log(1 - p)) in the tail, where 1 - p = 0.5 - q exactly
