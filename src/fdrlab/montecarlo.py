@@ -323,8 +323,11 @@ def make_mixture(prevalence: float, config: SimConfig,
     `config` describes the effect batch, as `inflation_curve`'s base does.
     The null batch is `config` with the treatment mean set to the control
     mean, under `config.master_seed`; the effect batch is `config` under
-    `master_seed + 1` (mod 2**64), so the two never share substreams.
+    `master_seed + 1` (mod 2**64), so the two never share substreams.  A
+    prevalence outside [0, 1] raises ``DomainError`` before either batch
+    runs.
     """
+    prevalence = probability(prevalence, "prevalence")
     null_cfg = replace(config, true_mean_treatment=config.true_mean_control)
     effect_cfg = replace(config, master_seed=(config.master_seed + 1) % 2 ** 64)
     return MixtureSpec(prevalence, run_batch(null_cfg, threads=threads),

@@ -97,8 +97,12 @@ def _lower_t_quantile(q: float, df: float) -> float:
             hi = t
         # Newton on log F(t) against log|t|, which is linear in the
         # power-law tail of t, so that a far start costs one step.  There is
-        # no step where F or the density underflows.
-        density = math.exp(log_c - 0.5 * (df + 1.0) * math.log1p(t * t / df))
+        # no step where F or the density underflows.  Where t * t / df
+        # overflows, log1p of it is 2 log|t| - log df to within rounding.
+        ratio = t * t / df
+        log1p_ratio = (math.log1p(ratio) if ratio < math.inf
+                       else 2.0 * math.log(-t) - math.log(df))
+        density = math.exp(log_c - 0.5 * (df + 1.0) * log1p_ratio)
         new = math.nan
         if cdf > 0.0 and density > 0.0:
             gain = (math.log(cdf) - math.log(q)) * cdf / (-t * density)

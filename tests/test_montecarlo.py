@@ -331,6 +331,16 @@ class TestMixture:
         assert spec.null_summary.to_json() == run_batch(null).to_json()
         assert spec.effect_summary.to_json() == run_batch(effect).to_json()
 
+    @pytest.mark.parametrize("prevalence", [1.2, -0.1])
+    def test_bad_prevalence_raises_before_any_batch(self, prevalence, monkeypatch):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("run_batch called")
+
+        monkeypatch.setattr(montecarlo, "run_batch", no_batch)
+        cfg = SimConfig(n_per_group=16, true_mean_treatment=1.0, n_sims=100_000)
+        with pytest.raises(DomainError):
+            make_mixture(prevalence, cfg)
+
     def test_fdr_formula(self, pair):
         breakdown = mixture_fdr(pair)
         r0 = pair.null_summary.count_significant / 20_000

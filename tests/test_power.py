@@ -150,6 +150,22 @@ def test_t_quantile_domain_and_far_tail():
         assert student_t_quantile(q, 1.0) == pytest.approx(-1.0 / (math.pi * q), rel=1e-12)
 
 
+@pytest.mark.parametrize("q", [1e-155, 1e-160])
+def test_t_quantile_newton_steps_past_overflow(q, monkeypatch):
+    # past |t| = 1.34e154 the slope takes log1p(t^2/df) as 2 log|t| - log df,
+    # so Newton still steps there; without it the iteration bisects, at
+    # about 50 CDF evaluations
+    calls = []
+
+    def counted(t, df):
+        calls.append(t)
+        return student_t_cdf(t, df)
+
+    monkeypatch.setattr(power, "student_t_cdf", counted)
+    assert student_t_quantile(q, 1.0) == pytest.approx(-1.0 / (math.pi * q), rel=1e-12)
+    assert len(calls) <= 3
+
+
 class TestSolveN:
     def test_worked_values(self):
         assert solve_n(0.78, 1.0, 0.05) == 16
