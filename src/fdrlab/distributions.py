@@ -221,11 +221,10 @@ _AS241_R_FAR = 5.0
 def _as241(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     """AS 241 into `out`, which may be `p` itself: the central formula over
     every element, then the tails, gathered by flat (C-order) index with
-    `take` and written back with `put`, which on a tile cost a fraction of
-    a 2-D boolean mask's gather and scatter and take a strided view as it
-    is.  Every tail `p` is read before `out` is written.
-    The steps run in place over two scratch arrays of `p`'s shape, whose
-    `out=` also keeps them arrays for a 0-d `p`."""
+    `take` and written back with `put`; on a tile these cost a fraction of
+    a 2-D boolean mask's gather and scatter.  Every tail `p` is read before
+    `out` is written.  The steps run in place over two scratch arrays of
+    `p`'s shape, whose `out=` also keeps them arrays for a 0-d `p`."""
     q = np.subtract(p, 0.5, out=np.empty_like(p))
     scratch = np.abs(q, out=np.empty_like(p))
     tail = np.flatnonzero(scratch > _AS241_Q_CENTRAL)
@@ -273,8 +272,9 @@ def normal_quantile(p, *, out=None):
     `out` receives the result and may be `p` itself.  An array is taken in
     row tiles of about 2**16 elements, so the scratch numpy allocates for
     it stays a few tiles in size; each tile's tails (|p - 1/2| > 0.425) are
-    gathered and written back by flat index.  A float takes the same path; for one
-    float, ``statistics.NormalDist().inv_cdf`` is the same AS 241 in C.
+    gathered and written back by flat index.  A float takes the same path;
+    for one float, ``statistics.NormalDist().inv_cdf`` is the same AS 241
+    in C.
     """
     arr = np.asarray(p, dtype=np.float64)
     # min and max are NaN when any entry is, so NaN fails this test too

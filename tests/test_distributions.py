@@ -178,22 +178,20 @@ class TestNormalQuantileAccuracy:
 
     # Arrays past one 2**16-element tile: `normal_quantile` takes them a row
     # tile at a time, and `_as241` gathers and writes back each tile's tails
-    # by flat index.  Each result must hold the per-float bits on the
-    # elements `_FLOAT_ROWS` picks (the float path costs about 0.1 ms a
-    # value) and the bits of sub-tile contiguous pieces everywhere.
+    # by flat index.  A result must hold the per-float bits on the rows on
+    # both sides of each tile edge and on every 97th row (the float path
+    # costs about 0.1 ms a value), and everywhere the bits of contiguous
+    # pieces smaller than a tile.
     @staticmethod
-    def _assert_float_bits(result, p, rows):
-        scalar = np.array([[normal_quantile(float(v)) for v in row] for row in p[rows]])
-        assert np.array_equal(result[rows].view(np.uint64), scalar.view(np.uint64))
+    def _assert_float_bits(result, p, step):
+        rows = len(p)
+        picked = sorted({rows - 1, *range(0, rows, 97), *range(step - 1, rows, step),
+                         *range(step, rows, step)})
+        scalar = np.array([[normal_quantile(float(v)) for v in row] for row in p[picked]])
+        assert np.array_equal(result[picked].view(np.uint64), scalar.view(np.uint64))
         pieces = np.concatenate([normal_quantile(piece)
                                  for piece in np.array_split(p.ravel(), 8)])
         assert np.array_equal(result.ravel().view(np.uint64), pieces.view(np.uint64))
-
-    @staticmethod
-    def _float_rows(rows, step):
-        # the rows on both sides of each tile edge, the last row, and a stride
-        edges = {0, rows - 1, *range(step - 1, rows, step), *range(step, rows, step)}
-        return sorted(edges | set(range(0, rows, 97)))
 
     def test_strided_view_across_tiles_in_place(self):
         # the engine's n = 3 chunk: 6 of a row's 8 columns, in three and a
@@ -208,7 +206,7 @@ class TestNormalQuantileAccuracy:
         view = base[:, :6]
         assert not view.flags.contiguous
         assert normal_quantile(view, out=view) is view
-        self._assert_float_bits(view, p, self._float_rows(rows, step))
+        self._assert_float_bits(view, p, step)
         assert np.array_equal(base[:, 6:], pad)  # the padding is left alone
 
     @pytest.mark.parametrize("part", ["central", "tails"])
@@ -222,7 +220,7 @@ class TestNormalQuantileAccuracy:
                                 1.0 - np.geomspace(0.07, 2.0 ** -53, count - count // 2)))
             assert np.all(np.abs(p - 0.5) > 0.425)
         p = p.reshape(-1, 1)
-        self._assert_float_bits(normal_quantile(p), p, self._float_rows(count, distributions._TILE))
+        self._assert_float_bits(normal_quantile(p), p, distributions._TILE)
 
     def test_antisymmetric_where_one_minus_p_is_exact(self):
         # both sides form the same r: 0.180625 - q^2 in the centre, and
